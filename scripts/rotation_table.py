@@ -3,8 +3,7 @@
 For each slope and strand count this prints the collar crossing count, the
 framing normalization exponent, the exponents u_j in
 rotate(e_j) = A^(u_j) e_(slope-j), and whether rotate^(2k) is the identity
-on quotient coordinates.  Useful when experimenting with alternative collar
-configurations.
+on quotient coordinates.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 """

@@ -26,7 +26,6 @@ from .skein import (
     resolve_states,
 )
 from .sprime import (
-    CollarConfig,
     QuotientError,
     basis_tangle,
     closed_basis_element,

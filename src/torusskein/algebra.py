@@ -48,10 +48,6 @@ class Laurent:
         return Laurent({0: 1})
 
     @staticmethod
-    def monomial(coeff: int, exp: int) -> "Laurent":
-        return Laurent({exp: coeff})
-
-    @staticmethod
     def A(exp: int = 1) -> "Laurent":
         return Laurent({exp: 1})
 
@@ -161,12 +157,6 @@ class Laurent:
     def evaluate(self, a):
         """Numerically evaluate at A = a."""
         return sum(c * a ** e for e, c in self.terms.items())
-
-    def min_exp(self) -> int:
-        return min(self.terms) if self.terms else 0
-
-    def max_exp(self) -> int:
-        return max(self.terms) if self.terms else 0
 
     def __str__(self):
         if not self.terms:
@@ -306,9 +296,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             out = out * v + c
         return out
-
-    def map_coeffs(self, fn) -> "UniPoly":
-        return UniPoly(self.var, [fn(c) for c in self.coeffs])
 
     def __str__(self):
         if not self.coeffs:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +28,10 @@ import numpy as np
 from .algebra import TracePoly
 from .charvariety import (
     TorusKnotConfig,
-    abelian_parametrization,
     admissible_pairs,
     knot_trace,
-    restrict_to_component,
     Component,
 )
-from .skein import DEFAULT_CROSSING_BUDGET
 from .sprime import (
     apply_matrix,
     basis_coordinates,
@@ -48,7 +43,6 @@ from .sprime import (
 )
 from .traces import numeric_rep, series_table, trace_word
 
-THREADS_ENV = "TORUSSKEIN_THREADS"
 DEFAULT_SEED = 20259
 
 
@@ -189,167 +183,138 @@ class VerificationReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _run_checks(named_callables):
-    """Run (name, fn) pairs, each fn returning a witness dict; honor the
-    thread-count override but keep the output order canonical."""
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-
-    def run_one(item):
-        name, fn = item
-        t0 = time.perf_counter()
-        try:
-            passed, witness = fn()
-        except Exception as exc:  # hard failures are reported, never skipped
-            passed, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
-        ms = (time.perf_counter() - t0) * 1000.0
-        return {"name": name, "pass": bool(passed), "witness": witness,
-                "ms": round(ms, 3)}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, named_callables))
-    return [run_one(item) for item in named_callables]
+def _run_check(name, fn, *args) -> dict:
+    """Run one check fn(*args) -> (passed, witness) and time it."""
+    t0 = time.perf_counter()
+    try:
+        passed, witness = fn(*args)
+    except Exception as exc:  # hard failures are reported, never skipped
+        passed, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
+    ms = (time.perf_counter() - t0) * 1000.0
+    return {"name": name, "pass": bool(passed), "witness": witness,
+            "ms": round(ms, 3)}
 
 
 def _check_admissible_count(cfg):
-    def run():
-        got = len(admissible_pairs(cfg))
-        want = (cfg.p - 1) * (cfg.q - 1) // 2
-        return got == want, {"count": got, "expected": want}
-    return run
+    got = len(admissible_pairs(cfg))
+    want = (cfg.p - 1) * (cfg.q - 1) // 2
+    return got == want, {"count": got, "expected": want}
 
 
 def _check_deg0_degrees(cfg):
-    def run():
-        bound = 4 * cfg.p * cfg.q
-        basis = deg0_basis(cfg, bound)  # raises on collision
-        degrees = [deg0_degree(idx, cfg) for idx in basis]
-        return len(set(degrees)) == len(degrees), {
-            "bound": bound, "count": len(basis)}
-    return run
+    bound = 4 * cfg.p * cfg.q
+    basis = deg0_basis(cfg, bound)  # raises on collision
+    degrees = [deg0_degree(idx, cfg) for idx in basis]
+    return len(set(degrees)) == len(degrees), {
+        "bound": bound, "count": len(basis)}
 
 
 def _check_orbit_count(cfg, max_k):
-    def run():
-        want = (cfg.p - 1) * (cfg.q - 1) // 2
-        counts = {k: len(degk_orbits(cfg, k)) for k in range(1, max_k + 1)}
-        return all(c == want for c in counts.values()), {
-            "counts": counts, "expected": want}
-    return run
+    want = (cfg.p - 1) * (cfg.q - 1) // 2
+    counts = {k: len(degk_orbits(cfg, k)) for k in range(1, max_k + 1)}
+    return all(c == want for c in counts.values()), {
+        "counts": counts, "expected": want}
 
 
 def _check_dst(cfg):
-    def run():
-        ok, det, cond = verify_dst(cfg)
-        return ok, {"scaled_det": det, "cond": cond}
-    return run
+    ok, det, cond = verify_dst(cfg)
+    return ok, {"scaled_det": det, "cond": cond}
 
 
-def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9,
-                            series_pairing="x-with-s"):
-    def run():
-        table = series_table(max_ij, max_ij, pairing=series_pairing)
+def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
+    table = series_table(max_ij, max_ij)
+    for i in range(max_ij + 1):
+        for j in range(max_ij + 1):
+            if table[i][j] != trace_word(i, j):
+                return False, {"mismatch": {"i": i, "j": j, "route": "series"}}
+    rng = np.random.default_rng(seed)
+    pairs = admissible_pairs(cfg)
+    worst = 0.0
+    for _ in range(samples):
+        pair = pairs[int(rng.integers(len(pairs)))]
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        rep = numeric_rep(pair, z, cfg)
+        comp = Component("irreducible", cfg, pair)
         for i in range(max_ij + 1):
             for j in range(max_ij + 1):
-                if table[i][j] != trace_word(i, j):
-                    return False, {"mismatch": {"i": i, "j": j, "route": "series"}}
-        rng = np.random.default_rng(seed)
-        pairs = admissible_pairs(cfg)
-        worst = 0.0
-        for _ in range(samples):
-            pair = pairs[int(rng.integers(len(pairs)))]
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            rep = numeric_rep(pair, z, cfg)
-            comp = Component("irreducible", cfg, pair)
-            for i in range(max_ij + 1):
-                for j in range(max_ij + 1):
-                    want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
-                    got = rep.trace(i, j)
-                    worst = max(worst, abs(complex(want) - got))
-            if worst > tol:
-                return False, {"worst_error": worst, "tol": tol}
-        return worst <= tol, {"worst_error": worst, "tol": tol,
-                              "samples": samples, "max_ij": max_ij}
-    return run
+                want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
+                got = rep.trace(i, j)
+                worst = max(worst, abs(complex(want) - got))
+        if worst > tol:
+            return False, {"worst_error": worst, "tol": tol}
+    return worst <= tol, {"worst_error": worst, "tol": tol,
+                          "samples": samples, "max_ij": max_ij}
 
 
-def _check_rotation_order(cfg, slope, max_k):
-    def run():
-        for k in range(1, max_k + 1):
-            cols = rotation_matrix(slope, k)
-            if matrix_power(cols, 2 * k) != identity_matrix(slope - 1):
-                return False, {"slope": slope, "k": k}
-        return True, {"slope": slope, "k_range": max_k}
-    return run
+def _check_rotation_order(slope, max_k):
+    for k in range(1, max_k + 1):
+        cols = rotation_matrix(slope, k)
+        if matrix_power(cols, 2 * k) != identity_matrix(slope - 1):
+            return False, {"slope": slope, "k": k}
+    return True, {"slope": slope, "k_range": max_k}
 
 
-def _check_basis_triangular(cfg, slope, max_k):
-    def run():
-        for k in range(1, max_k + 1):
-            coords = basis_coordinates(slope, k)
-            for j in range(1, slope):
-                vec = coords[j - 1]
-                if vec[j - 1].unit_parts() is None:
-                    return False, {"slope": slope, "k": k, "j": j,
-                                   "diagonal": str(vec[j - 1])}
-                if any(vec[m] for m in range(j, slope - 1)):
-                    return False, {"slope": slope, "k": k, "j": j,
-                                   "reason": "not triangular"}
-        return True, {"slope": slope, "k_range": max_k}
-    return run
+def _check_basis_triangular(slope, max_k):
+    for k in range(1, max_k + 1):
+        coords = basis_coordinates(slope, k)
+        for j in range(1, slope):
+            vec = coords[j - 1]
+            if vec[j - 1].unit_parts() is None:
+                return False, {"slope": slope, "k": k, "j": j,
+                               "diagonal": str(vec[j - 1])}
+            if any(vec[m] for m in range(j, slope - 1)):
+                return False, {"slope": slope, "k": k, "j": j,
+                               "reason": "not triangular"}
+    return True, {"slope": slope, "k_range": max_k}
 
 
-def _check_rotation_exponents(cfg, slope, max_k):
-    def run():
-        for k in range(1, max_k + 1):
-            expo = rotation_exponents(slope, k)  # raises on sign defects
-            if any(expo[j - 1] != -expo[slope - j - 1] for j in range(1, slope)):
-                return False, {"slope": slope, "k": k, "exponents": list(expo)}
-        return True, {"slope": slope, "k_range": max_k,
-                      "exponents": list(rotation_exponents(slope, 1))}
-    return run
+def _check_rotation_exponents(slope, max_k):
+    for k in range(1, max_k + 1):
+        expo = rotation_exponents(slope, k)  # raises on sign defects
+        if any(expo[j - 1] != -expo[slope - j - 1] for j in range(1, slope)):
+            return False, {"slope": slope, "k": k, "exponents": list(expo)}
+    return True, {"slope": slope, "k_range": max_k,
+                  "exponents": list(rotation_exponents(slope, 1))}
 
 
-def _check_normalized_rotation(cfg, slope, max_k):
-    def run():
-        for k in range(1, max_k + 1):
-            cols = rotation_matrix(slope, k)
-            norm = normalized_basis_coordinates(slope, k)
-            for j in range(1, slope):
-                if apply_matrix(cols, norm[j - 1]) != norm[slope - j - 1]:
-                    return False, {"slope": slope, "k": k, "j": j}
-        return True, {"slope": slope, "k_range": max_k}
-    return run
+def _check_normalized_rotation(slope, max_k):
+    for k in range(1, max_k + 1):
+        cols = rotation_matrix(slope, k)
+        norm = normalized_basis_coordinates(slope, k)
+        for j in range(1, slope):
+            if apply_matrix(cols, norm[j - 1]) != norm[slope - j - 1]:
+                return False, {"slope": slope, "k": k, "j": j}
+    return True, {"slope": slope, "k_range": max_k}
 
 
-def verify_theorem(cfg: TorusKnotConfig, max_k: int = 2, seed: int = DEFAULT_SEED,
-                   budget: int | None = DEFAULT_CROSSING_BUDGET,
-                   series_pairing: str = "x-with-s") -> VerificationReport:
+def verify_theorem(cfg: TorusKnotConfig, max_k: int = 2,
+                   seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run every instance check of the freeness theorem for one (p, q).
 
     Skein-side checks run once per side of the splitting (slope q for the
-    solid torus with core u, slope p for the other).  series_pairing is a
-    test hook: flipping it to "x-with-t" mis-pairs the generating-function
-    numerator and must break the triple agreement.
+    solid torus with core u, slope p for the other), for each grade k from 1
+    to max_k.  An out-of-range max_k or seed is a usage error and raises
+    ValueError before any check runs.
     """
-    del budget  # reserved for callers that lift the crossing guard
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     checks = [
-        ("admissible-pair-count", _check_admissible_count(cfg)),
-        ("deg0-distinct-degrees", _check_deg0_degrees(cfg)),
-        ("degk-orbit-count", _check_orbit_count(cfg, max_k)),
-        ("dst-invertible", _check_dst(cfg)),
-        ("trace-triple-agreement",
-         _check_triple_agreement(cfg, seed, series_pairing=series_pairing)),
+        _run_check("admissible-pair-count", _check_admissible_count, cfg),
+        _run_check("deg0-distinct-degrees", _check_deg0_degrees, cfg),
+        _run_check("degk-orbit-count", _check_orbit_count, cfg, max_k),
+        _run_check("dst-invertible", _check_dst, cfg),
+        _run_check("trace-triple-agreement", _check_triple_agreement, cfg, seed),
     ]
     for slope in sorted({cfg.p, cfg.q}):
         tag = f"slope{slope}"
         checks.extend([
-            (f"rotation-order-{tag}", _check_rotation_order(cfg, slope, max_k)),
-            (f"basis-triangular-{tag}", _check_basis_triangular(cfg, slope, max_k)),
-            (f"rotation-exponents-{tag}", _check_rotation_exponents(cfg, slope, max_k)),
-            (f"normalized-rotation-{tag}", _check_normalized_rotation(cfg, slope, max_k)),
+            _run_check(f"rotation-order-{tag}", _check_rotation_order, slope, max_k),
+            _run_check(f"basis-triangular-{tag}", _check_basis_triangular, slope, max_k),
+            _run_check(f"rotation-exponents-{tag}", _check_rotation_exponents, slope, max_k),
+            _run_check(f"normalized-rotation-{tag}", _check_normalized_rotation, slope, max_k),
         ])
-    report = VerificationReport(
-        config={"p": cfg.p, "q": cfg.q, "max_k": max_k, "seed": seed})
-    report.checks = _run_checks(checks)
-    return report
+    return VerificationReport(
+        config={"p": cfg.p, "q": cfg.q, "max_k": max_k, "seed": seed},
+        checks=checks)

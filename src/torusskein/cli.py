@@ -22,7 +22,13 @@ from .assembly import (
     verify_theorem,
 )
 from .charvariety import TorusKnotConfig, admissible_pairs, components
-from .skein import AnnularTangle, BudgetError, PlanarityError, resolve
+from .skein import (
+    DEFAULT_CROSSING_BUDGET,
+    AnnularTangle,
+    BudgetError,
+    PlanarityError,
+    resolve,
+)
 from .traces import trace_word
 
 
@@ -147,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bracket", help="resolve an annular tangle from a JSON file")
     s.add_argument("file")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--budget", type=int, default=22,
+    s.add_argument("--budget", type=int, default=DEFAULT_CROSSING_BUDGET,
                    help="crossing budget for the exact state sum")
     s.set_defaults(fn=cmd_bracket)
 

@@ -29,9 +29,7 @@ skein module of the solid torus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .algebra import DELTA, Laurent
 
@@ -497,18 +495,3 @@ def multicurve_tangle(mc: Multicurve) -> AnnularTangle:
 def loop_slices(n: int) -> tuple:
     """Slices appending n parallel core loops."""
     return (cup(0), rot(1), cap(0)) * n
-
-
-def element_tangles(el: SkeinElement) -> list[tuple[Laurent, AnnularTangle]]:
-    """One coefficient-tangle pair per normal-form term of el."""
-    return [(c, multicurve_tangle(mc)) for mc, c in el.items()]
-
-
-def save_tangle(tangle: AnnularTangle, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(tangle.to_json(), fh, indent=2)
-
-
-def load_tangle(path) -> AnnularTangle:
-    with open(path) as fh:
-        return AnnularTangle.from_json(json.load(fh))

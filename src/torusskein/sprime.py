@@ -14,8 +14,8 @@ The rotation operator shifts every marked point one step along the framing
 curve, the last one passing the seam.  Its collar word sends one traveller
 strand p times backwards around the annulus (slope p; one trip along the
 framing curve), crossing each other strand once per full turn, plus one
-framing curl and a global power of A.  The crossing sign, curl count and
-A-power are configuration constants: the shipped defaults are validated by
+framing curl and a global power of A.  The crossing sign (+1), the curl
+count (one positive curl) and the A-power are fixed constants, validated by
 the rotation invariants (rot^(2k) = 1 on quotient coordinates,
 rot e_j = A^(u_j) e_(p-j) with u_(p-j) = -u_j), which pin them up to skein
 equivalence; see the tests.
@@ -23,12 +23,10 @@ equivalence; see the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Laurent, UniPoly
 from .skein import (
-    DEFAULT_CROSSING_BUDGET,
     AnnularTangle,
     Multicurve,
     PlanarityError,
@@ -38,7 +36,6 @@ from .skein import (
     cup,
     kink_slices,
     loop_slices,
-    multicurve_tangle,
     resolve,
     rot,
 )
@@ -48,72 +45,57 @@ class QuotientError(RuntimeError):
     """A reduction relation has a non-invertible leading coefficient."""
 
 
-@dataclass(frozen=True)
-class CollarConfig:
-    """Over/under pattern and framing curls of the rotation collar."""
+def turn_slices(turns: int, width: int) -> tuple:
+    """The strand at position 0 makes ``turns`` backward passages of the seam.
 
-    crossing_sign: int = 1
-    curls: int = 1
-
-    @property
-    def curl_sign(self) -> int:
-        return self.crossing_sign
-
-
-DEFAULT_COLLAR = CollarConfig()
+    Between consecutive passages it sweeps back down through the other
+    strands with positive crossings, so every full turn crosses each other
+    strand once.
+    """
+    down = tuple(crossing(m, 1) for m in range(width - 2, -1, -1))
+    return (rot(-1),) + (down + (rot(-1),)) * (turns - 1)
 
 
-def rotation_slices(slope: int, width: int, config: CollarConfig = DEFAULT_COLLAR) -> tuple:
+def rotation_slices(slope: int, width: int) -> tuple:
     """Collar word of the rotation on ``width`` strands at the given slope.
 
-    The strand at position 0 makes slope-1 full backward turns (each one a
-    seam passage followed by a crossing sweep back down through the other
-    strands) and one final seam passage, leaving every other strand shifted
-    down one position.  Curls are appended for the framing correction.
+    One positive framing curl, then slope-1 full backward turns of the strand
+    at position 0 and one final seam passage, leaving every other strand
+    shifted down one position.
     """
     if slope < 1:
         raise ValueError("slope must be at least 1")
     if width < 1:
         raise ValueError("rotation needs at least one strand")
-    word: list = []
-    for _ in range(config.curls):
-        word.extend(kink_slices(0, config.curl_sign))
-    down = [crossing(m, config.crossing_sign) for m in range(width - 2, -1, -1)]
-    for _ in range(slope - 1):
-        word.append(rot(-1))
-        word.extend(down)
-    word.append(rot(-1))
-    return tuple(word)
+    return kink_slices(0, 1) + turn_slices(slope, width)
 
 
-def rotate(tangle: AnnularTangle, slope: int, config: CollarConfig = DEFAULT_COLLAR) -> AnnularTangle:
+def rotate(tangle: AnnularTangle, slope: int) -> AnnularTangle:
     """The collar word of the rotation stacked onto a tangle.
 
     This is the diagrammatic part only; the full operator carries the
     framing normalization A^(rotation_norm_exponent), applied by
     :func:`rotated_element`.
     """
-    collar = rotation_slices(slope, tangle.endpoints, config)
+    collar = rotation_slices(slope, tangle.endpoints)
     return AnnularTangle(tangle.endpoints, collar + tangle.slices)
 
 
 def rotation_norm_exponent(slope: int, width: int) -> int:
     """Framing A-power of the rotation on ``width`` strands at ``slope``.
 
-    The default collar word realizes the rotation only up to a global power
-    of A; the exponent width + slope - 4 restores the three defining
-    invariants (rot^(2k) = 1 on the quotient, rot e_j proportional to
-    e_(slope-j) by a plus power of A, antisymmetric exponents), checked over
-    slopes up to 7 and k up to 4.
+    The collar word realizes the rotation only up to a global power of A;
+    the exponent width + slope - 4 restores the three defining invariants
+    (rot^(2k) = 1 on the quotient, rot e_j proportional to e_(slope-j) by a
+    plus power of A, antisymmetric exponents), checked over slopes up to 7
+    and k up to 4.
     """
     return width + slope - 4
 
 
-def rotated_element(tangle: AnnularTangle, slope: int,
-                    config: CollarConfig = DEFAULT_COLLAR,
-                    budget: int | None = DEFAULT_CROSSING_BUDGET) -> SkeinElement:
+def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
     """The rotation operator applied to a closed tangle, normalization included."""
-    el = resolve(rotate(tangle, slope, config), budget)
+    el = resolve(rotate(tangle, slope))
     return el.scale(Laurent.A(rotation_norm_exponent(slope, tangle.endpoints)))
 
 
@@ -145,8 +127,7 @@ def null_tangle(k: int, n: int) -> AnnularTangle:
     return AnnularTangle(2 * k, tuple(slices))
 
 
-def basis_tangle(k: int, j: int, slope: int,
-                 config: CollarConfig = DEFAULT_COLLAR) -> AnnularTangle:
+def basis_tangle(k: int, j: int, slope: int) -> AnnularTangle:
     """Basis tangle e(k, j): a j-times-winding exterior strand on the outer
     pair of marked points, around a (k-1)-strand once-winding cable on the
     middle ones.  Requires 1 <= j <= slope-1 (and j >= 1 for any slope)."""
@@ -155,18 +136,13 @@ def basis_tangle(k: int, j: int, slope: int,
     if not 1 <= j <= max(slope - 1, 1):
         raise ValueError(f"index j={j} out of range for slope {slope}")
     width = 2 * k
-    word: list = []
-    down = [crossing(m, config.crossing_sign) for m in range(width - 2, -1, -1)]
-    for _ in range(j - 1):
-        word.append(rot(-1))
-        word.extend(down)
-    word.append(rot(-1))
+    word = list(turn_slices(j, width))
     word.append(cap(width - 2))
     word.extend(cap(w - 1) for w in range(width - 2, 0, -2))
     return AnnularTangle(width, tuple(word))
 
 
-def framing_curve_tangle(slope: int, config: CollarConfig = DEFAULT_COLLAR) -> AnnularTangle:
+def framing_curve_tangle(slope: int) -> AnnularTangle:
     """The framing curve pushed into the solid torus: winds ``slope`` times
     around the annulus, drawn as a spiral with slope-1 crossings."""
     if slope < 1:
@@ -174,19 +150,19 @@ def framing_curve_tangle(slope: int, config: CollarConfig = DEFAULT_COLLAR) -> A
     word: list = [cup(0)]
     for _ in range(slope - 1):
         word.append(rot(1))
-        word.append(crossing(0, config.crossing_sign))
+        word.append(crossing(0, 1))
     word.append(rot(1))
     word.append(cap(0))
     return AnnularTangle(0, tuple(word))
 
 
-def expand_framing_curve(slope: int, config: CollarConfig = DEFAULT_COLLAR) -> UniPoly:
+def expand_framing_curve(slope: int) -> UniPoly:
     """Class of the pushed-in framing curve in the loop basis {y^m}.
 
     Returns a degree-``slope`` polynomial in y over the Laurent ring; the
     leading coefficient is a unit.
     """
-    el = resolve(framing_curve_tangle(slope, config))
+    el = resolve(framing_curve_tangle(slope))
     coeffs = [Laurent.zero()] * (slope + 1)
     for mc, c in el.terms.items():
         if mc.arcs:
@@ -197,13 +173,12 @@ def expand_framing_curve(slope: int, config: CollarConfig = DEFAULT_COLLAR) -> U
     return UniPoly("y", coeffs)
 
 
-def closed_basis_element(j: int, slope: int,
-                         config: CollarConfig = DEFAULT_COLLAR) -> SkeinElement:
+def closed_basis_element(j: int, slope: int) -> SkeinElement:
     """e(0, j) = (framing curve)^n * y^m in S(T, 0), where j = slope*n + m."""
     if j < 0:
         raise ValueError("need j >= 0")
     n, m = divmod(j, slope)
-    poly = expand_framing_curve(slope, config) ** n * UniPoly("y", [0] * m + [1])
+    poly = expand_framing_curve(slope) ** n * UniPoly("y", [0] * m + [1])
     terms = {Multicurve((), deg): c for deg, c in enumerate(poly.coeffs) if c}
     return SkeinElement(0, terms)
 
@@ -241,15 +216,14 @@ def winding_part(el: SkeinElement, k: int) -> dict[int, Laurent]:
 
 
 @lru_cache(maxsize=None)
-def reduction_relation(slope: int, k: int, n: int,
-                       config: CollarConfig = DEFAULT_COLLAR) -> tuple:
+def reduction_relation(slope: int, k: int, n: int) -> tuple:
     """Coefficients (by loop power) of the relation rotate(null_tangle(k, n)).
 
     The relation vanishes in the quotient; it has top degree n + slope - 1
     with a unit leading coefficient, which makes the rewriting well founded.
     A non-unit leading coefficient is a hard failure.
     """
-    el = rotated_element(null_tangle(k, n), slope, config)
+    el = rotated_element(null_tangle(k, n), slope)
     poly = winding_part(el, k)
     top = n + slope - 1
     degree = max(poly) if poly else -1
@@ -264,8 +238,7 @@ def reduction_relation(slope: int, k: int, n: int,
     return tuple(poly.get(m, Laurent.zero()) for m in range(top + 1))
 
 
-def quotient_coordinates(el: SkeinElement, slope: int, k: int,
-                         config: CollarConfig = DEFAULT_COLLAR) -> list[Laurent]:
+def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> list[Laurent]:
     """Coordinates of el in the quotient basis {w^m : 0 <= m <= slope-2}."""
     if slope < 2:
         raise ValueError("slope must be at least 2 for a nontrivial quotient")
@@ -274,7 +247,7 @@ def quotient_coordinates(el: SkeinElement, slope: int, k: int,
         m = max(poly)
         if m < slope - 1:
             break
-        rel = reduction_relation(slope, k, m - slope + 1, config)
+        rel = reduction_relation(slope, k, m - slope + 1)
         factor = poly[m] * rel[m].unit_inverse()
         for d in range(m + 1):
             if not rel[d]:
@@ -287,10 +260,8 @@ def quotient_coordinates(el: SkeinElement, slope: int, k: int,
     return [poly.get(m, Laurent.zero()) for m in range(slope - 1)]
 
 
-def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int,
-                       config: CollarConfig = DEFAULT_COLLAR,
-                       budget: int | None = DEFAULT_CROSSING_BUDGET) -> list[Laurent]:
-    return quotient_coordinates(resolve(tangle, budget), slope, k, config)
+def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int) -> list[Laurent]:
+    return quotient_coordinates(resolve(tangle), slope, k)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +270,7 @@ def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int,
 
 
 @lru_cache(maxsize=None)
-def rotation_matrix(slope: int, k: int,
-                    config: CollarConfig = DEFAULT_COLLAR) -> tuple:
+def rotation_matrix(slope: int, k: int) -> tuple:
     """Columns of the rotation operator in the basis {w^m}, m < slope-1.
 
     Column m holds the quotient coordinates of rotate(w^m).  Rotating an
@@ -310,8 +280,8 @@ def rotation_matrix(slope: int, k: int,
     """
     cols = []
     for m in range(slope - 1):
-        el = rotated_element(power_tangle(k, m), slope, config)
-        cols.append(tuple(quotient_coordinates(el, slope, k, config)))
+        el = rotated_element(power_tangle(k, m), slope)
+        cols.append(tuple(quotient_coordinates(el, slope, k)))
     return tuple(cols)
 
 
@@ -363,25 +333,23 @@ def unit_ratio(vec_a: list[Laurent], vec_b: list[Laurent]) -> Laurent:
 
 
 @lru_cache(maxsize=None)
-def basis_coordinates(slope: int, k: int,
-                      config: CollarConfig = DEFAULT_COLLAR) -> tuple:
+def basis_coordinates(slope: int, k: int) -> tuple:
     """Quotient coordinates of the raw basis tangles e(k, j), j = 1..slope-1."""
     return tuple(
-        tuple(tangle_coordinates(basis_tangle(k, j, slope, config), slope, k, config))
+        tuple(tangle_coordinates(basis_tangle(k, j, slope), slope, k))
         for j in range(1, slope)
     )
 
 
 @lru_cache(maxsize=None)
-def rotation_exponents(slope: int, k: int,
-                       config: CollarConfig = DEFAULT_COLLAR) -> tuple:
+def rotation_exponents(slope: int, k: int) -> tuple:
     """Exponents u_j with rotate(e_j) = A^(u_j) e_(slope-j), j = 1..slope-1.
 
     Raises if the proportionality unit carries a minus sign, which would
     contradict the braid-normalization argument behind the basis.
     """
-    cols = rotation_matrix(slope, k, config)
-    coords = basis_coordinates(slope, k, config)
+    cols = rotation_matrix(slope, k)
+    coords = basis_coordinates(slope, k)
     out = []
     for j in range(1, slope):
         image = apply_matrix(cols, list(coords[j - 1]))
@@ -396,11 +364,10 @@ def rotation_exponents(slope: int, k: int,
     return tuple(out)
 
 
-def normalized_basis_coordinates(slope: int, k: int,
-                                 config: CollarConfig = DEFAULT_COLLAR) -> list[list[Laurent]]:
+def normalized_basis_coordinates(slope: int, k: int) -> list[list[Laurent]]:
     """Basis coordinates rescaled so rotate(e_j) = e_(slope-j) exactly."""
-    coords = [list(c) for c in basis_coordinates(slope, k, config)]
-    expo = rotation_exponents(slope, k, config)
+    coords = [list(c) for c in basis_coordinates(slope, k)]
+    expo = rotation_exponents(slope, k)
     for j in range(1, slope):
         if 2 * j > slope:
             u = Laurent.A(-expo[j - 1])

@@ -1,5 +1,6 @@
 """Graded basis, sine matrix, and the verification report."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from torusskein.charvariety import (
     leading_coeff_vector,
     restrict_to_component,
 )
+from torusskein import assembly
 from torusskein.assembly import (
     Deg0,
     DegK,
@@ -29,6 +31,7 @@ from torusskein.assembly import (
     verify_dst,
     verify_theorem,
 )
+from torusskein.traces import series_table
 
 
 def coprime_configs(limit):
@@ -200,8 +203,11 @@ def test_verify_theorem_passes_trefoil():
         assert set(c) == {"name", "pass", "witness", "ms"}
 
 
-def test_verify_theorem_negative_control():
-    report = verify_theorem(TorusKnotConfig(2, 3), max_k=1, series_pairing="x-with-t")
+def test_verify_theorem_negative_control(monkeypatch):
+    # a mis-paired generating-function numerator must break the triple agreement
+    monkeypatch.setattr(assembly, "series_table",
+                        functools.partial(series_table, pairing="x-with-t"))
+    report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
     failed = {c["name"] for c in report.checks if not c["pass"]}
     assert "trace-triple-agreement" in failed
 
@@ -213,12 +219,3 @@ def test_report_json_schema():
     assert blob["config"]["p"] == 2 and blob["config"]["q"] == 3
     assert all({"name", "pass", "witness", "ms"} == set(c) for c in blob["checks"])
 
-
-def test_thread_override_keeps_results(monkeypatch):
-    monkeypatch.setenv("TORUSSKEIN_THREADS", "4")
-    report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
-    assert report.all_passed
-    names = [c["name"] for c in report.checks]
-    monkeypatch.setenv("TORUSSKEIN_THREADS", "1")
-    again = [c["name"] for c in verify_theorem(TorusKnotConfig(2, 3), max_k=1).checks]
-    assert names == again

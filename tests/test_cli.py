@@ -93,6 +93,16 @@ def test_verify_exit_codes(capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--max-k", "0"), ("--max-k", "-1"),
+                                         ("--seed", "-1")])
+def test_verify_out_of_range_is_usage_error(capsys, flag, value):
+    # max_k < 1 would run no rotation check; a negative seed is no failed check
+    code, out, err = run_cli(capsys, "verify", "2", "3", flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag.lstrip("-").replace("-", "_") in err
+
+
 def test_verify_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "verify", "2", "3", "--max-k", "1", "--json")
     assert code == 0

@@ -2,7 +2,10 @@
 
 import pytest
 
+from torusskein import sprime
 from torusskein.algebra import DELTA, Laurent
+from torusskein.assembly import verify_theorem
+from torusskein.charvariety import TorusKnotConfig
 from torusskein.skein import (
     AnnularTangle,
     Multicurve,
@@ -200,3 +203,16 @@ def test_rotation_collar_crossing_count():
     for slope, k in GRID:
         tg = rotate(power_tangle(k, 0), slope)
         assert tg.crossings <= 22, (slope, k, tg.crossings)
+
+
+def test_verify_fills_one_cache_entry_per_slope_and_k():
+    # every caller reaches a cached builder with the same key, so no
+    # (slope, k) table is computed twice
+    caches = (sprime.rotation_matrix, sprime.basis_coordinates,
+              sprime.reduction_relation, sprime.rotation_exponents)
+    for fn in caches:
+        fn.cache_clear()
+    verify_theorem(TorusKnotConfig(2, 3), max_k=2)
+    for fn in (sprime.rotation_matrix, sprime.basis_coordinates,
+               sprime.rotation_exponents):
+        assert fn.cache_info().currsize == 4, fn.__name__  # {2, 3} x {1, 2}
