@@ -29,6 +29,7 @@ skein module of the solid torus.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .algebra import DELTA, Laurent
@@ -360,40 +361,45 @@ def _apply_rot(state, sign):
 
 
 def _apply_event(state, ev):
-    """List of (state, Laurent factor) pairs resulting from one slice."""
+    """List of (state, A-exponent, factor in {ONE, DELTA}) from one slice."""
     op = ev[0]
     if op == X:
         _, i, sign = ev
         width = len(state[0])
         capped, f = _apply_cap(state, i)
         turned = _apply_seam_cup(capped) if i == width - 1 else _apply_cup(capped, i)
-        return [(state, Laurent.A(sign)), (turned, Laurent.A(-sign) * f)]
+        return [(state, sign, ONE), (turned, -sign, f)]
     if op == CUP:
-        return [(_apply_cup(state, ev[1]), ONE)]
+        return [(_apply_cup(state, ev[1]), 0, ONE)]
     if op == CAP:
         new, f = _apply_cap(state, ev[1])
-        return [(new, f)]
+        return [(new, 0, f)]
     if op == ROT:
-        return [(_apply_rot(state, ev[1]), ONE)]
+        return [(_apply_rot(state, ev[1]), 0, ONE)]
     raise MalformedTangle(f"unknown slice op {op!r}")
 
 
-def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET):
+def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
+                   start: Mapping | None = None):
     """Run the state sum; returns a dict mapping open states to coefficients.
 
     Identical states are merged as the word is consumed, so the cost scales
     with the number of distinct planar states.  ``budget`` bounds the
-    crossing count of a single word (None disables the guard).
+    crossing count of a single word (None disables the guard).  ``start``,
+    a result of an earlier call, is continued instead of the initial state;
+    it is never mutated or returned.
     """
     if budget is not None and tangle.crossings > budget:
         raise BudgetError(
             f"{tangle.crossings} crossings exceed the exact budget of {budget}")
-    states = {_initial_state(tangle.endpoints): ONE}
+    states = {_initial_state(tangle.endpoints): ONE} if start is None else start
     for ev in tangle.slices:
         merged: dict = {}
         for state, coeff in states.items():
-            for new_state, factor in _apply_event(state, ev):
-                add = coeff * factor
+            for new_state, exp, factor in _apply_event(state, ev):
+                add = coeff.shift(exp) if exp else coeff
+                if factor is not ONE:
+                    add = add * factor
                 prev = merged.get(new_state)
                 s = add if prev is None else prev + add
                 if s:
@@ -401,16 +407,17 @@ def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_
                 else:
                     merged.pop(new_state, None)
         states = merged
-    return states
+    return dict(states) if states is start else states
 
 
-def resolve(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET) -> SkeinElement:
-    """Kauffman bracket resolution of a closed tangle into normal form."""
+def resolve(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
+            start: Mapping | None = None) -> SkeinElement:
+    """Kauffman bracket resolution of a closed tangle (``start``: see resolve_states)."""
     if not tangle.is_closed():
         raise MalformedTangle(
             f"tangle leaves {tangle.final_width} strands unclosed")
     out: dict[Multicurve, Laurent] = {}
-    for (slots, arcs, loops), coeff in resolve_states(tangle, budget).items():
+    for (slots, arcs, loops), coeff in resolve_states(tangle, budget, start).items():
         assert not slots
         mc = Multicurve(arcs, loops)
         prev = out.get(mc)

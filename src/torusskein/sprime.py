@@ -24,10 +24,13 @@ equivalence; see the tests.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .algebra import Laurent, UniPoly
 from .skein import (
+    DEFAULT_CROSSING_BUDGET,
     AnnularTangle,
+    BudgetError,
     Multicurve,
     PlanarityError,
     SkeinElement,
@@ -37,6 +40,7 @@ from .skein import (
     kink_slices,
     loop_slices,
     resolve,
+    resolve_states,
     rot,
 )
 
@@ -93,10 +97,27 @@ def rotation_norm_exponent(slope: int, width: int) -> int:
     return width + slope - 4
 
 
+@lru_cache(maxsize=None)
+def collar_states(slope: int, width: int) -> MappingProxyType:
+    """Final states of the collar word alone (read-only), the ``start`` of every rotation."""
+    word = AnnularTangle(width, rotation_slices(slope, width))
+    return MappingProxyType(resolve_states(word, None))
+
+
 def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
-    """The rotation operator applied to a closed tangle, normalization included."""
-    el = resolve(rotate(tangle, slope))
-    return el.scale(Laurent.A(rotation_norm_exponent(slope, tangle.endpoints)))
+    """The rotation operator applied to a closed tangle, normalization included.
+
+    The crossing guard covers the full word :func:`rotate` (tangle, slope) and
+    runs first; the tangle's sum then continues from :func:`collar_states`.
+    """
+    width = tangle.endpoints
+    crossings = rotate(tangle, slope).crossings
+    if crossings > DEFAULT_CROSSING_BUDGET:
+        raise BudgetError(
+            f"rotation at slope {slope} on {width} strands (k={width // 2}): "
+            f"{crossings} crossings exceed the exact budget of {DEFAULT_CROSSING_BUDGET}")
+    el = resolve(tangle, start=collar_states(slope, width))
+    return el.scale(Laurent.A(rotation_norm_exponent(slope, width)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +294,8 @@ def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int) -> list[Lauren
 def rotation_matrix(slope: int, k: int) -> tuple:
     """Columns of the rotation operator in the basis {w^m}, m < slope-1.
 
-    Column m holds the quotient coordinates of rotate(w^m).  Rotating an
+    Column m holds the quotient coordinates of rotate(w^m); every column's
+    state sum continues from the same cached collar states.  Rotating an
     arbitrary element then reduces to one matrix-vector product, which keeps
     every state sum within the crossing budget no matter how many times the
     rotation is iterated.

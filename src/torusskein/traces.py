@@ -13,9 +13,9 @@
 3. :func:`numeric_rep` -- explicit 2x2 matrices for a representation on a
    chosen irreducible component, for float cross-checks.
 
-The memo table behind trace_word is the only shared state in this module;
-lru_cache keeps it consistent under concurrent use and the results do not
-depend on evaluation order.
+The memo tables behind trace_word and series_table are the only shared
+state in this module; lru_cache keeps them consistent under concurrent use
+and the results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -66,14 +66,16 @@ def _second_kind(gen: TracePoly, n: int) -> list[TracePoly]:
     return out
 
 
-def series_table(max_i: int, max_j: int, pairing: str = "x-with-s") -> list[list[TracePoly]]:
+@lru_cache(maxsize=None)
+def series_table(max_i: int, max_j: int, pairing: str = "x-with-s") -> tuple:
     """Power-series coefficients G[i][j] of the trace generating function.
 
     1/(1 - s x + s^2) expands to sum_i S_i(x) s^i with S_i the degree-i
     second-kind recursion polynomials, so the (i, j) coefficient is read off
     as a finite combination of S_i(x) and S_j(y).  pairing="x-with-t"
     instead expands the numerator 2 - t x - s y + s t z (a wrong convention,
-    kept for negative-control tests).
+    kept for negative-control tests).  The table does not depend on the
+    knot, so it is cached; rows are tuples, so a cached table is immutable.
     """
     if max_i > SERIES_MAX or max_j > SERIES_MAX:
         raise ValueError(f"series bounds are limited to {SERIES_MAX}")
@@ -102,8 +104,8 @@ def series_table(max_i: int, max_j: int, pairing: str = "x-with-s") -> list[list
                          - y * S(sx, i - 1) * S(sy, j)
                          + z * S(sx, i - 1) * S(sy, j - 1))
             row.append(entry)
-        out.append(row)
-    return out
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def leading_z_coeff(i: int, j: int, pair: AdmissiblePair, cfg: TorusKnotConfig) -> float:

@@ -212,6 +212,16 @@ def test_verify_theorem_negative_control(monkeypatch):
     assert "trace-triple-agreement" in failed
 
 
+def test_rotation_refusal_witness_names_the_case():
+    # the witness of a guard refusal is enough to rerun the failing case
+    report = verify_theorem(TorusKnotConfig(2, 9), max_k=2)
+    check, = [c for c in report.checks if c["name"] == "rotation-order-slope9"]
+    assert not check["pass"]
+    error = check["witness"]["error"]
+    assert error.startswith("BudgetError")
+    assert "slope 9" in error and "k=2" in error
+
+
 def test_report_json_schema():
     report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
     blob = report.to_json()

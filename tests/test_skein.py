@@ -130,6 +130,20 @@ def test_reidemeister_two_inserted_anywhere(tangle, cut, sign):
     assert resolve_states(AnnularTangle(tangle.endpoints, spliced)) == resolve_states(tangle)
 
 
+@given(random_words, st.integers(0, 8))
+def test_resolve_from_start_matches_whole_word(tangle, cut):
+    # continuing a prefix's states through the suffix equals the whole sum,
+    # and the prefix's dict is neither changed nor handed back
+    cut = min(cut, len(tangle.slices))
+    head = AnnularTangle(tangle.endpoints, tangle.slices[:cut])
+    tail = AnnularTangle(head.final_width, tangle.slices[cut:])
+    start = resolve_states(head)
+    saved = dict(start)
+    got = resolve_states(tail, start=start)
+    assert got == resolve_states(tangle)
+    assert start == saved and got is not start
+
+
 @given(random_words, st.integers(0, 7), st.sampled_from([1, -1]))
 def test_crossing_elimination_identity(tangle, cut, sign):
     # a crossing equals A^s (parallel) + A^-s (turnback) in any context

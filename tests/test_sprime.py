@@ -7,7 +7,9 @@ from torusskein.algebra import DELTA, Laurent
 from torusskein.assembly import verify_theorem
 from torusskein.charvariety import TorusKnotConfig
 from torusskein.skein import (
+    DEFAULT_CROSSING_BUDGET,
     AnnularTangle,
+    BudgetError,
     Multicurve,
     SkeinElement,
     cap,
@@ -31,6 +33,7 @@ from torusskein.sprime import (
     rotated_element,
     rotation_exponents,
     rotation_matrix,
+    rotation_norm_exponent,
     tangle_coordinates,
 )
 
@@ -146,6 +149,53 @@ def test_rotation_matrix_matches_direct_rotation():
             assert direct == via_matrix, (slope, k, j)
 
 
+def _rotated_tangles(slope, k):
+    """The power, null and basis tangles that the checks and tests rotate."""
+    yield from (power_tangle(k, m) for m in range(slope - 1))
+    yield from (null_tangle(k, n) for n in range(slope - 1))
+    yield from (basis_tangle(k, j, slope) for j in range(1, slope))
+
+
+def test_rotated_element_matches_full_word():
+    # continuing from the cached collar states equals resolving the whole word
+    for slope in range(2, 7):
+        for k in (1, 2, 3):
+            norm = Laurent.A(rotation_norm_exponent(slope, 2 * k))
+            for t in _rotated_tangles(slope, k):
+                if rotate(t, slope).crossings > DEFAULT_CROSSING_BUDGET:
+                    continue
+                want = resolve(rotate(t, slope)).scale(norm)
+                assert rotated_element(t, slope) == want, (slope, k, t)
+
+
+def test_rotation_guard_matches_full_word():
+    # the guard refuses exactly the words the full state sum would refuse,
+    # and runs no collar sum for a refused case
+    for slope, k in GRID + [(9, 2)]:
+        for t in _rotated_tangles(slope, k):
+            over = rotate(t, slope).crossings > DEFAULT_CROSSING_BUDGET
+            misses = sprime.collar_states.cache_info().misses
+            try:
+                rotated_element(t, slope)
+            except BudgetError as exc:
+                assert over, (slope, k, t)
+                assert f"slope {slope}" in str(exc) and f"k={k}" in str(exc)
+                assert "exceed" in str(exc)
+                assert sprime.collar_states.cache_info().misses == misses
+            else:
+                assert not over, (slope, k, t)
+
+
+def test_rotated_element_repeats():
+    # the cached collar states are not changed by the sums that start from them
+    for slope, k in ((3, 2), (5, 2)):
+        for t in (power_tangle(k, 0), null_tangle(k, 1), basis_tangle(k, 2, slope)):
+            first = rotated_element(t, slope)
+            assert rotated_element(t, slope) == first
+            sprime.collar_states.cache_clear()
+            assert rotated_element(t, slope) == first
+
+
 def test_rotation_preserves_killed_submodule():
     for slope, k in ((2, 1), (3, 2)):
         for n in (0, 1):
@@ -209,10 +259,13 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     # every caller reaches a cached builder with the same key, so no
     # (slope, k) table is computed twice
     caches = (sprime.rotation_matrix, sprime.basis_coordinates,
-              sprime.reduction_relation, sprime.rotation_exponents)
+              sprime.reduction_relation, sprime.rotation_exponents,
+              sprime.collar_states)
     for fn in caches:
         fn.cache_clear()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
     for fn in (sprime.rotation_matrix, sprime.basis_coordinates,
                sprime.rotation_exponents):
         assert fn.cache_info().currsize == 4, fn.__name__  # {2, 3} x {1, 2}
+    # one collar per slope and width: {2, 3} x {2, 4}
+    assert sprime.collar_states.cache_info().currsize == 4
