@@ -538,6 +538,8 @@ def chebyshev(n: int) -> UniPoly:
         return UniPoly("s", (2,))
     if n == 1:
         return UniPoly.variable("s")
+    for m in range(2, n):  # fill the memo bottom-up, so recursion stays shallow
+        chebyshev(m)
     return UniPoly.variable("s") * chebyshev(n - 1) - chebyshev(n - 2)
 
 

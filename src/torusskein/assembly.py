@@ -41,7 +41,7 @@ from .sprime import (
     rotation_exponents,
     rotation_matrix,
 )
-from .traces import numeric_rep, series_table, trace_word
+from .traces import numeric_rep, series_table, trace_values, trace_word
 
 DEFAULT_SEED = 20259
 
@@ -235,10 +235,9 @@ def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         rep = numeric_rep(pair, z, cfg)
         comp = Component("irreducible", cfg, pair)
-        for i in range(max_ij + 1):
-            for j in range(max_ij + 1):
-                want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
-                got = rep.trace(i, j)
+        wants = trace_values(max_ij, comp.x_const, comp.y_const, z)
+        for want_row, got_row in zip(wants, rep.traces(max_ij, max_ij)):
+            for want, got in zip(want_row, got_row):
                 worst = max(worst, abs(complex(want) - got))
         if worst > tol:
             return False, {"worst_error": worst, "tol": tol}

@@ -13,9 +13,14 @@
 3. :func:`numeric_rep` -- explicit 2x2 matrices for a representation on a
    chosen irreducible component, for float cross-checks.
 
-The memo tables behind trace_word and series_table are the only shared
-state in this module; lru_cache keeps them consistent under concurrent use
-and the results do not depend on evaluation order.
+:func:`trace_values` and :meth:`NumericRep.traces` evaluate a whole
+(i, j) table of routes 1 and 3 at one sample, sharing the powers of x, y, z
+(or of U and V) across its entries; each value is bit-for-bit the one the
+per-entry :meth:`TracePoly.evaluate` or :meth:`NumericRep.trace` gives.
+
+The lru_cache memos behind trace_word, series_table and _word_terms (each
+word's terms with float coefficients) are the only shared state in this
+module; the results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -49,11 +54,48 @@ def trace_word(i: int, j: int) -> TracePoly:
         return TracePoly.y()
     if (i, j) == (1, 1):
         return TracePoly.z()
+    # fill the memo bottom-up first, so that no call recurses more than a
+    # few levels deep whatever the degree
     if i >= 2:
+        for m in range(2, i):
+            trace_word(m, j)
         # tr(u * u^{i-1} v^j) = tr(u) tr(u^{i-1} v^j) - tr(u^{i-2} v^j)
         return TracePoly.x() * trace_word(i - 1, j) - trace_word(i - 2, j)
     # i <= 1, j >= 2: peel a v off the right
+    for m in range(2, j):
+        trace_word(i, m)
     return trace_word(i, j - 1) * TracePoly.y() - trace_word(i, j - 2)
+
+
+@lru_cache(maxsize=None)
+def _word_terms(i: int, j: int) -> tuple:
+    """trace_word(i, j)'s terms as (float(c), a, b, e), in its term order.
+
+    float(c) is what ``Fraction * float`` computes inside TracePoly.evaluate.
+    """
+    return tuple((float(c), a, b, e) for (a, b, e), c in trace_word(i, j).terms.items())
+
+
+def trace_values(max_ij: int, xv: float, yv: float, zv: complex) -> list:
+    """[[trace_word(i, j).evaluate(xv, yv, zv) for j] for i], i, j <= max_ij.
+
+    For float xv, yv and float or complex zv every value is bit-for-bit the
+    one evaluate returns: each power is taken once with ``**`` and the terms
+    are summed in the same order, from the same int 0.
+    """
+    xp = [xv ** n for n in range(max_ij + 1)]
+    yp = [yv ** n for n in range(max_ij + 1)]
+    zp = [zv ** n for n in range(max_ij + 1)]
+    out = []
+    for i in range(max_ij + 1):
+        row = []
+        for j in range(max_ij + 1):
+            acc = 0
+            for c, a, b, e in _word_terms(i, j):
+                acc = acc + c * xp[a] * yp[b] * zp[e]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def _second_kind(gen: TracePoly, n: int) -> list[TracePoly]:
@@ -136,6 +178,14 @@ class NumericRep:
 
     def trace(self, i: int, j: int) -> complex:
         return complex(np.trace(self.word(i, j)))
+
+    def traces(self, max_i: int, max_j: int) -> list:
+        """[[self.trace(i, j) for j] for i], each power of U and V taken once."""
+        us = [np.linalg.matrix_power(self.U, i) for i in range(max_i + 1)]
+        vs = [np.linalg.matrix_power(self.V, j) for j in range(max_j + 1)]
+        # np.trace sums from +0.0, so it never returns a -0.0 part; "+ 0j"
+        # does the same, and the rest of the sum is the same single addition
+        return [[complex((m := u @ v)[0, 0] + m[1, 1]) + 0j for v in vs] for u in us]
 
     def validate(self, tol_det: float = 1e-12, tol_trace: float = 1e-9) -> None:
         comp = Component("irreducible", self.cfg, self.pair)

@@ -99,6 +99,15 @@ def test_chebyshev_degree_five():
     assert str(chebyshev(5)) == "s^5 - 5*s^3 + 5*s"
 
 
+def test_chebyshev_high_degree():
+    # the memo is filled bottom-up, past the interpreter's recursion limit
+    chebyshev.cache_clear()
+    t = chebyshev(600)
+    assert t.degree == 600 and t.coeffs[-1] == 1
+    assert t.evaluate(2) == 2 and t.evaluate(-2) == 2
+    assert chebyshev.cache_info().currsize == 601
+
+
 def test_chebyshev_product_rule():
     for m in range(0, 21):
         for n in range(0, 21):

@@ -31,7 +31,7 @@ from torusskein.assembly import (
     verify_dst,
     verify_theorem,
 )
-from torusskein.traces import series_table
+from torusskein.traces import numeric_rep, series_table, trace_word
 
 
 def coprime_configs(limit):
@@ -210,6 +210,46 @@ def test_verify_theorem_negative_control(monkeypatch):
     report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
     failed = {c["name"] for c in report.checks if not c["pass"]}
     assert "trace-triple-agreement" in failed
+
+
+def reference_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
+    # the per-entry form of the check, kept as its reference: one exact
+    # polynomial evaluation and one pair of matrix powers per (i, j) entry
+    table = series_table(max_ij, max_ij)
+    for i in range(max_ij + 1):
+        for j in range(max_ij + 1):
+            if table[i][j] != trace_word(i, j):
+                return False, {"mismatch": {"i": i, "j": j, "route": "series"}}
+    rng = np.random.default_rng(seed)
+    pairs = admissible_pairs(cfg)
+    worst = 0.0
+    for _ in range(samples):
+        pair = pairs[int(rng.integers(len(pairs)))]
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        rep = numeric_rep(pair, z, cfg)
+        comp = Component("irreducible", cfg, pair)
+        for i in range(max_ij + 1):
+            for j in range(max_ij + 1):
+                want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
+                got = rep.trace(i, j)
+                worst = max(worst, abs(complex(want) - got))
+        if worst > tol:
+            return False, {"worst_error": worst, "tol": tol}
+    return worst <= tol, {"worst_error": worst, "tol": tol,
+                          "samples": samples, "max_ij": max_ij}
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (5, 12), (7, 11)])
+@pytest.mark.parametrize("seed", [assembly.DEFAULT_SEED, 7])
+def test_triple_agreement_matches_per_entry_reference(p, q, seed):
+    cfg = TorusKnotConfig(p, q)
+    got = assembly._check_triple_agreement(cfg, seed)
+    assert got == reference_triple_agreement(cfg, seed)
+    assert got[0]
+    # a tolerance no sample meets takes the early return with the same witness
+    got = assembly._check_triple_agreement(cfg, seed, tol=1e-18)
+    assert got == reference_triple_agreement(cfg, seed, tol=1e-18)
+    assert not got[0]
 
 
 def test_rotation_refusal_witness_names_the_case():

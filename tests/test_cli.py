@@ -6,6 +6,7 @@ import json
 import pytest
 
 from torusskein.cli import main
+from torusskein.traces import trace_word
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +25,17 @@ def test_trace_poly_output(capsys):
     code, out, _ = run_cli(capsys, "trace-poly", "2", "1")
     assert code == 0
     assert out == "x*z - y\n"
+
+
+def test_trace_poly_high_degree(capsys):
+    # the memo is filled bottom-up, so the degree is not bounded by the
+    # interpreter's recursion limit; each key is still computed exactly once
+    trace_word.cache_clear()
+    code, out, _ = run_cli(capsys, "trace-poly", "0", "510")
+    assert code == 0
+    assert out.startswith("y^510 - ")
+    info = trace_word.cache_info()
+    assert info.misses == info.currsize == 511
 
 
 def test_char_variety_human(capsys):
@@ -127,6 +139,8 @@ def test_outputs_byte_identical(capsys):
 @pytest.mark.parametrize("p, q, max_k, digest", [
     ("2", "3", "3", "183ca634036366389db9a78227df1bc8d9d68d7fbcf4d3b3b2c42020ef4fd18b"),
     ("3", "5", "2", "bc95be4e4e43b1601189144f8bfbe35bad3fc44dba8044f3974aac9f6bdf1b2a"),
+    ("7", "12", "1", "bb5cacb3157253cacb05dcf8afc35296f436184f4c0353f90ac1dee1caf693d3"),
+    ("5", "11", "1", "2287ecef773256c4515e10e66afc35808739525fa371db4e40588c6f679d8c52"),
 ])
 def test_verify_report_digest(capsys, p, q, max_k, digest):
     # the deterministic report is pinned byte for byte at the default seed

@@ -1,6 +1,8 @@
 """Trace recursion vs generating function vs numeric matrices."""
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,13 +15,30 @@ from torusskein.charvariety import (
     abelian_meeting_points,
     admissible_pairs,
 )
-from torusskein.traces import leading_z_coeff, numeric_rep, series_table, trace_word
+from torusskein.traces import (
+    leading_z_coeff,
+    numeric_rep,
+    series_table,
+    trace_values,
+    trace_word,
+)
 
 RNG = np.random.default_rng(416)
 
 
 def random_z():
     return complex(RNG.uniform(-2, 2), RNG.uniform(-2, 2))
+
+
+EXACT_CONFIGS = [TorusKnotConfig(2, 3), TorusKnotConfig(3, 5),
+                 TorusKnotConfig(5, 12), TorusKnotConfig(7, 11)]
+
+
+def assert_same_number(got, want):
+    # bit for bit: same type, equal, and the same round-trip repr (sign of zero)
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_trace_word_literals():
@@ -50,6 +69,20 @@ def test_conjugation_symmetry():
     for i in range(0, 9):
         for j in range(0, 9):
             assert trace_word(i, j).swap_xy() == trace_word(j, i)
+
+
+@pytest.mark.parametrize("i, j", [(150, 0), (0, 150), (150, 3)])
+def test_trace_word_recursion_stays_shallow(i, j):
+    # filled bottom-up, a cold call nests a bounded number of frames, far
+    # fewer than the degree
+    trace_word.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        word = trace_word(i, j)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert word.degree_in(0) == i and word.degree_in(1) == j
 
 
 def test_series_matches_recursion():
@@ -98,6 +131,33 @@ def test_numeric_rep_matches_trace_word():
             for j in range(0, 9):
                 want = complex(trace_word(i, j).evaluate(comp.x_const, comp.y_const, z))
                 assert abs(want - rep.trace(i, j)) < 1e-9
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
+def test_trace_values_equal_evaluate_exactly(cfg):
+    for pair in admissible_pairs(cfg):
+        comp = Component("irreducible", cfg, pair)
+        for z in (random_z(), random_z(), float(RNG.uniform(-2, 2))):
+            table = trace_values(8, comp.x_const, comp.y_const, z)
+            assert len(table) == 9 and all(len(row) == 9 for row in table)
+            for i in range(9):
+                for j in range(9):
+                    want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
+                    assert_same_number(table[i][j], want)
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
+def test_numeric_rep_traces_equal_trace_exactly(cfg):
+    for pair in admissible_pairs(cfg):
+        for _ in range(3):
+            rep = numeric_rep(pair, random_z(), cfg)
+            table = rep.traces(8, 8)
+            assert len(table) == 9 and all(len(row) == 9 for row in table)
+            for i in range(9):
+                for j in range(9):
+                    assert_same_number(table[i][j], rep.trace(i, j))
+    rep = numeric_rep(admissible_pairs(cfg)[0], random_z(), cfg)
+    assert [len(row) for row in rep.traces(2, 5)] == [6, 6, 6]
 
 
 def test_leading_z_coeff_literals():
