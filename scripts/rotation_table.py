@@ -1,9 +1,10 @@
 """Tabulate the rotation operator's data on S'(T, 2k).
 
 For each slope and strand count this prints the collar crossing count, the
-framing normalization exponent, the exponents u_j in
-rotate(e_j) = A^(u_j) e_(slope-j), and whether rotate^(2k) is the identity
-on quotient coordinates.
+number of collar states the quotient keeps (those without a winding-0 arc,
+``len(collar_states(slope, 2k))``), the framing normalization exponent, the
+exponents u_j in rotate(e_j) = A^(u_j) e_(slope-j), and whether rotate^(2k)
+is the identity on quotient coordinates.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 """
@@ -11,6 +12,7 @@ Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 import sys
 
 from torusskein.sprime import (
+    collar_states,
     identity_matrix,
     matrix_power,
     power_tangle,
@@ -24,7 +26,7 @@ from torusskein.sprime import (
 def main() -> int:
     max_slope = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     max_k = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    print(f"{'slope':>5} {'k':>3} {'crossings':>9} {'A-power':>8} "
+    print(f"{'slope':>5} {'k':>3} {'crossings':>9} {'states':>6} {'A-power':>8} "
           f"{'order ok':>8}  exponents u_j")
     for slope in range(2, max_slope + 1):
         for k in range(1, max_k + 1):
@@ -33,7 +35,8 @@ def main() -> int:
             ok = matrix_power(cols, 2 * k) == identity_matrix(slope - 1)
             expo = rotation_exponents(slope, k)
             norm = rotation_norm_exponent(slope, 2 * k)
-            print(f"{slope:>5} {k:>3} {collar.crossings:>9} {norm:>8} "
+            states = len(collar_states(slope, 2 * k))
+            print(f"{slope:>5} {k:>3} {collar.crossings:>9} {states:>6} {norm:>8} "
                   f"{str(ok):>8}  {list(expo)}")
     return 0
 

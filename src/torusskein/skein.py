@@ -76,6 +76,23 @@ def kink_slices(pos: int, sign: int) -> tuple:
     return (cup(pos + 1), crossing(pos, sign), cap(pos + 1))
 
 
+_SLICE_FIELDS = {"crossing": (crossing, ("pos", "sign")), "cup": (cup, ("pos",)),
+                 "cap": (cap, ("pos",)), "rot": (rot, ("sign",))}
+
+
+def _json_field(obj, key: str, kind: type, where: str):
+    """``obj[key]`` from a diagram's JSON; MalformedTangle naming the field otherwise."""
+    if not isinstance(obj, dict):
+        raise MalformedTangle(f"{where} must be a JSON object, not {type(obj).__name__}")
+    if key not in obj:
+        raise MalformedTangle(f"{where} has no field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedTangle(
+            f"{where} field {key!r} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class AnnularTangle:
     """A banded tangle presented as a slice word on ``endpoints`` strands."""
@@ -136,21 +153,15 @@ class AnnularTangle:
         return {"endpoints": self.endpoints, "slices": out, "meta": {}}
 
     @staticmethod
-    def from_json(data: dict) -> "AnnularTangle":
+    def from_json(data) -> "AnnularTangle":
         slices = []
-        for item in data["slices"]:
-            op = item["op"]
-            if op == "crossing":
-                slices.append(crossing(item["pos"], item["sign"]))
-            elif op == "cup":
-                slices.append(cup(item["pos"]))
-            elif op == "cap":
-                slices.append(cap(item["pos"]))
-            elif op == "rot":
-                slices.append(rot(item["sign"]))
-            else:
+        for n, item in enumerate(_json_field(data, "slices", list, "diagram")):
+            op = _json_field(item, "op", str, f"slice {n}")
+            if op not in _SLICE_FIELDS:
                 raise MalformedTangle(f"unknown slice op {op!r}")
-        return AnnularTangle(data["endpoints"], tuple(slices))
+            make, keys = _SLICE_FIELDS[op]
+            slices.append(make(*(_json_field(item, key, int, f"slice {n}") for key in keys)))
+        return AnnularTangle(_json_field(data, "endpoints", int, "diagram"), tuple(slices))
 
 
 @dataclass(frozen=True)
@@ -380,14 +391,16 @@ def _apply_event(state, ev):
 
 
 def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
-                   start: Mapping | None = None):
+                   start: Mapping | None = None, *, drop_trivial_arcs: bool = False):
     """Run the state sum; returns a dict mapping open states to coefficients.
 
     Identical states are merged as the word is consumed, so the cost scales
     with the number of distinct planar states.  ``budget`` bounds the
     crossing count of a single word (None disables the guard).  ``start``,
     a result of an earlier call, is continued instead of the initial state;
-    it is never mutated or returned.
+    it is never mutated or returned.  ``drop_trivial_arcs`` drops a state as
+    soon as it holds a winding-0 arc; arcs are never removed, so this filters
+    the full result exactly (given a ``start`` pruned the same way).
     """
     if budget is not None and tangle.crossings > budget:
         raise BudgetError(
@@ -397,6 +410,10 @@ def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_
         merged: dict = {}
         for state, coeff in states.items():
             for new_state, exp, factor in _apply_event(state, ev):
+                # arcs only grow, so a changed tuple means one arc was added
+                if (drop_trivial_arcs and new_state[1] is not state[1]
+                        and any(w == 0 for _, _, w in new_state[1])):
+                    continue
                 add = coeff.shift(exp) if exp else coeff
                 if factor is not ONE:
                     add = add * factor
@@ -411,13 +428,14 @@ def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_
 
 
 def resolve(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
-            start: Mapping | None = None) -> SkeinElement:
-    """Kauffman bracket resolution of a closed tangle (``start``: see resolve_states)."""
+            start: Mapping | None = None, *, drop_trivial_arcs: bool = False) -> SkeinElement:
+    """Kauffman bracket resolution of a closed tangle (keywords: see resolve_states)."""
     if not tangle.is_closed():
         raise MalformedTangle(
             f"tangle leaves {tangle.final_width} strands unclosed")
     out: dict[Multicurve, Laurent] = {}
-    for (slots, arcs, loops), coeff in resolve_states(tangle, budget, start).items():
+    states = resolve_states(tangle, budget, start, drop_trivial_arcs=drop_trivial_arcs)
+    for (slots, arcs, loops), coeff in states.items():
         assert not slots
         mc = Multicurve(arcs, loops)
         prev = out.get(mc)

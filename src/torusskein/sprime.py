@@ -99,13 +99,15 @@ def rotation_norm_exponent(slope: int, width: int) -> int:
 
 @lru_cache(maxsize=None)
 def collar_states(slope: int, width: int) -> MappingProxyType:
-    """Final states of the collar word alone (read-only), the ``start`` of every rotation."""
+    """Final states of the collar word alone (read-only), the ``start`` of every
+    rotation, without the states holding a winding-0 arc (the quotient kills them)."""
     word = AnnularTangle(width, rotation_slices(slope, width))
-    return MappingProxyType(resolve_states(word, None))
+    return MappingProxyType(resolve_states(word, None, drop_trivial_arcs=True))
 
 
 def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
-    """The rotation operator applied to a closed tangle, normalization included.
+    """The rotation operator applied to a closed tangle, normalization included,
+    without the terms holding a winding-0 arc (the quotient kills them).
 
     The crossing guard covers the full word :func:`rotate` (tangle, slope) and
     runs first; the tangle's sum then continues from :func:`collar_states`.
@@ -116,7 +118,7 @@ def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
         raise BudgetError(
             f"rotation at slope {slope} on {width} strands (k={width // 2}): "
             f"{crossings} crossings exceed the exact budget of {DEFAULT_CROSSING_BUDGET}")
-    el = resolve(tangle, start=collar_states(slope, width))
+    el = resolve(tangle, start=collar_states(slope, width), drop_trivial_arcs=True)
     return el.scale(Laurent.A(rotation_norm_exponent(slope, width)))
 
 
@@ -282,7 +284,8 @@ def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> list[Laurent]:
 
 
 def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int) -> list[Laurent]:
-    return quotient_coordinates(resolve(tangle), slope, k)
+    """Quotient coordinates of a closed tangle; its state sum drops trivial arcs."""
+    return quotient_coordinates(resolve(tangle, drop_trivial_arcs=True), slope, k)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,20 @@ def test_bracket_budget_flag(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("diagram, field", [
+    ({"endpoints": 2}, "'slices'"),
+    ({"endpoints": 2, "slices": [{"op": "cap"}]}, "'pos'"),
+    ([1, 2], "diagram"),
+])
+def test_bracket_malformed_diagram_is_usage_error(tmp_path, capsys, diagram, field):
+    # exit 1 means a failed verification, so a bad input file must exit 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(diagram))
+    code, out, err = run_cli(capsys, "bracket", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
+
+
 def test_skein_basis_degree_zero(capsys):
     code, out, _ = run_cli(capsys, "skein-basis", "2", "3", "--degree", "0",
                            "--bound", "5", "--json")

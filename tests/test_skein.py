@@ -144,6 +144,24 @@ def test_resolve_from_start_matches_whole_word(tangle, cut):
     assert start == saved and got is not start
 
 
+def _without_trivial_arcs(states):
+    return {s: c for s, c in states.items() if not any(w == 0 for _, _, w in s[1])}
+
+
+@given(random_words, st.integers(0, 8))
+def test_dropping_trivial_arcs_filters_the_full_sum(tangle, cut):
+    # an arc is never removed once made, so dropping a state at its first
+    # winding-0 arc changes no other state's coefficient; the same holds for
+    # a tail continued from a pruned prefix
+    want = _without_trivial_arcs(resolve_states(tangle))
+    assert resolve_states(tangle, drop_trivial_arcs=True) == want
+    cut = min(cut, len(tangle.slices))
+    head = AnnularTangle(tangle.endpoints, tangle.slices[:cut])
+    tail = AnnularTangle(head.final_width, tangle.slices[cut:])
+    start = resolve_states(head, drop_trivial_arcs=True)
+    assert resolve_states(tail, start=start, drop_trivial_arcs=True) == want
+
+
 @given(random_words, st.integers(0, 7), st.sampled_from([1, -1]))
 def test_crossing_elimination_identity(tangle, cut, sign):
     # a crossing equals A^s (parallel) + A^-s (turnback) in any context
