@@ -2,9 +2,11 @@
 
 Usage: python scripts/verify_sweep.py [LIMIT] [MAX_K]
 
-Exits nonzero if any configuration fails.  Larger limits raise the rotation
-collar's crossing count; configurations whose collar exceeds the exact
-state-sum budget are reported as failures rather than approximated.
+A configuration is failed if any check fails, and refused if no check fails
+but some exceed the exact state sum's bound on live states (the guard
+refuses a case rather than approximating it).  Both are counted apart; the
+exit code is 1 if any configuration failed, 3 if some were refused and none
+failed, and 0 otherwise.
 """
 
 import math
@@ -18,7 +20,7 @@ from torusskein.charvariety import TorusKnotConfig
 def main() -> int:
     limit = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     max_k = int(sys.argv[2]) if len(sys.argv) > 2 else 2
-    failures = 0
+    failures = refusals = 0
     print(f"{'(p, q)':>8}  {'checks':>6}  {'status':>8}  {'seconds':>8}")
     for p in range(2, limit + 1):
         for q in range(p + 1, limit + 1):
@@ -27,15 +29,20 @@ def main() -> int:
             t0 = time.perf_counter()
             report = verify_theorem(TorusKnotConfig(p, q), max_k=max_k)
             dt = time.perf_counter() - t0
-            status = "ok" if report.all_passed else "FAILED"
-            if not report.all_passed:
+            if report.all_passed:
+                status = "ok"
+            elif report.failed:
+                status = "FAILED"
                 failures += 1
+            else:
+                status = "REFUSED"
+                refusals += 1
             print(f"  ({p},{q})  {len(report.checks):>6}  {status:>8}  {dt:8.2f}")
             for check in report.checks:
                 if not check["pass"]:
                     print(f"      {check['name']}: {check['witness']}")
-    print(f"{failures} failing configuration(s)")
-    return 1 if failures else 0
+    print(f"{failures} failing configuration(s), {refusals} refused configuration(s)")
+    return 1 if failures else 3 if refusals else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .skein import (
     Multicurve,
     PlanarityError,
     SkeinElement,
-    compose,
     multicurve_tangle,
     resolve,
     resolve_states,

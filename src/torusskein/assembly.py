@@ -32,6 +32,7 @@ from .charvariety import (
     knot_trace,
     Component,
 )
+from .skein import BudgetError
 from .sprime import (
     apply_matrix,
     basis_coordinates,
@@ -167,6 +168,11 @@ def verify_dst(cfg: TorusKnotConfig, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
+def refused(check: dict) -> bool:
+    """Whether a check was refused by the state budget: neither passed nor failed."""
+    return "refused" in check["witness"]
+
+
 @dataclass
 class VerificationReport:
     config: dict
@@ -175,6 +181,11 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(c["pass"] for c in self.checks)
+
+    @property
+    def failed(self) -> list:
+        """The checks that failed, not counting those refused."""
+        return [c for c in self.checks if not c["pass"] and not refused(c)]
 
     def to_json(self) -> dict:
         return {"config": self.config, "checks": self.checks}
@@ -188,6 +199,11 @@ def _run_check(name, fn, *args) -> dict:
     t0 = time.perf_counter()
     try:
         passed, witness = fn(*args)
+    except BudgetError as exc:  # refused: reported apart from a failure
+        # every state sum of a check runs on 2k strands at the slope in its name
+        case = dict(exc.figures, slope=int(name.rpartition("-slope")[2]))
+        case["k"] = case.pop("strands") // 2
+        passed, witness = False, {"refused": case}
     except Exception as exc:  # hard failures are reported, never skipped
         passed, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
     ms = (time.perf_counter() - t0) * 1000.0

@@ -2,7 +2,8 @@
 
 Subcommands expose each computation plus the verification pipeline; output
 is byte-identical across runs for fixed arguments and seed.  Exit codes:
-0 success, 1 failed verification, 2 usage error.
+0 success, 1 failed verification, 2 usage error or refused input, 3 some
+verification checks refused by the state budget and none failed.
 """
 
 from __future__ import annotations
@@ -19,16 +20,11 @@ from .assembly import (
     deg0_degree,
     degk_orbits,
     orbit_partner,
+    refused,
     verify_theorem,
 )
 from .charvariety import TorusKnotConfig, admissible_pairs, components
-from .skein import (
-    DEFAULT_CROSSING_BUDGET,
-    AnnularTangle,
-    BudgetError,
-    PlanarityError,
-    resolve,
-)
+from .skein import STATE_BUDGET, AnnularTangle, BudgetError, PlanarityError, resolve
 from .traces import trace_word
 
 
@@ -115,18 +111,20 @@ def cmd_verify(args) -> int:
     if args.no_timings:
         for c in report.checks:
             c["ms"] = 0.0
+    code = 0 if report.all_passed else 1 if report.failed else 3
     if args.json:
         print(report.json_str())
-        return 0 if report.all_passed else 1
+        return code
     print(f"verification for (p, q) = ({cfg.p}, {cfg.q}), "
           f"max_k = {args.max_k}, seed = {args.seed}")
     for c in report.checks:
-        mark = "PASS" if c["pass"] else "FAIL"
+        mark = "PASS" if c["pass"] else "REFUSED" if refused(c) else "FAIL"
         print(f"  [{mark}] {c['name']} ({c['ms']:.1f} ms)")
         if not c["pass"]:
             print(f"         witness: {c['witness']}")
-    print("all checks passed" if report.all_passed else "verification FAILED")
-    return 0 if report.all_passed else 1
+    print({0: "all checks passed", 1: "verification FAILED",
+           3: "verification REFUSED: some checks exceed the state budget, none failed"}[code])
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bracket", help="resolve an annular tangle from a JSON file")
     s.add_argument("file")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--budget", type=int, default=DEFAULT_CROSSING_BUDGET,
-                   help="crossing budget for the exact state sum")
+    s.add_argument("--budget", type=int, default=None,
+                   help="bound on live distinct states in the exact state sum "
+                        f"(default {STATE_BUDGET})")
     s.set_defaults(fn=cmd_bracket)
 
     s = sub.add_parser("skein-basis", help="graded basis indices and trace functions")

@@ -17,8 +17,9 @@ Resolving a tangle applies the Kauffman relations: a crossing of sign s
 splits as A^s (strands kept parallel) plus A^-s (turnback smoothing), and a
 contractible loop contributes the factor -A^2 - A^-2.  States that become
 identical are merged, so resolution cost is governed by the number of
-distinct planar states rather than 2^crossings; a configurable crossing
-budget still guards against accidentally huge inputs.
+distinct planar states rather than 2^crossings; a bound on the number of
+live distinct states (``STATE_BUDGET``) refuses an oversized sum as soon as
+it grows past the bound, rather than ever approximating it.
 
 Fully resolved states are normal-form multicurves: a perfect matching of the
 marked points where each arc either misses the seam (winding 0) or crosses
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .algebra import DELTA, Laurent
 
-DEFAULT_CROSSING_BUDGET = 22
+STATE_BUDGET = 2 ** 15  # live distinct states; `verify 5 7 --max-k 8` peaks at 17,542
 
 X, CUP, CAP, ROT = "x", "cup", "cap", "rot"
 
@@ -48,7 +49,16 @@ class PlanarityError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """The diagram exceeds the exact state-sum crossing budget."""
+    """A computation outgrew a fixed bound: it is refused, never approximated.
+
+    ``figures`` holds what a report needs to name the refusal; the state sum
+    gives the live ``states`` when the guard tripped, the ``budget`` and the
+    ``strands`` of the word.
+    """
+
+    def __init__(self, message: str, **figures):
+        super().__init__(message)
+        self.figures = figures
 
 
 def crossing(pos: int, sign: int) -> tuple:
@@ -390,21 +400,20 @@ def _apply_event(state, ev):
     raise MalformedTangle(f"unknown slice op {op!r}")
 
 
-def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
+def resolve_states(tangle: AnnularTangle, budget: int | None = None,
                    start: Mapping | None = None, *, drop_trivial_arcs: bool = False):
     """Run the state sum; returns a dict mapping open states to coefficients.
 
     Identical states are merged as the word is consumed, so the cost scales
-    with the number of distinct planar states.  ``budget`` bounds the
-    crossing count of a single word (None disables the guard).  ``start``,
-    a result of an earlier call, is continued instead of the initial state;
-    it is never mutated or returned.  ``drop_trivial_arcs`` drops a state as
-    soon as it holds a winding-0 arc; arcs are never removed, so this filters
-    the full result exactly (given a ``start`` pruned the same way).
+    with the number of distinct planar states.  After each slice the number
+    of live states is checked against ``budget`` (``STATE_BUDGET`` when None),
+    and BudgetError is raised as soon as it is over.  ``start``, a result of
+    an earlier call, is continued instead of the initial state; it is never
+    mutated or returned.  ``drop_trivial_arcs`` drops a state as soon as it
+    holds a winding-0 arc; arcs are never removed, so this filters the full
+    result exactly (given a ``start`` pruned the same way).
     """
-    if budget is not None and tangle.crossings > budget:
-        raise BudgetError(
-            f"{tangle.crossings} crossings exceed the exact budget of {budget}")
+    limit = STATE_BUDGET if budget is None else budget
     states = {_initial_state(tangle.endpoints): ONE} if start is None else start
     for ev in tangle.slices:
         merged: dict = {}
@@ -423,11 +432,16 @@ def resolve_states(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_
                     merged[new_state] = s
                 else:
                     merged.pop(new_state, None)
+        if len(merged) > limit:
+            raise BudgetError(
+                f"{len(merged)} live states on {tangle.endpoints} strands exceed "
+                f"the state budget of {limit}",
+                states=len(merged), budget=limit, strands=tangle.endpoints)
         states = merged
     return dict(states) if states is start else states
 
 
-def resolve(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
+def resolve(tangle: AnnularTangle, budget: int | None = None,
             start: Mapping | None = None, *, drop_trivial_arcs: bool = False) -> SkeinElement:
     """Kauffman bracket resolution of a closed tangle (keywords: see resolve_states)."""
     if not tangle.is_closed():
@@ -445,42 +459,6 @@ def resolve(tangle: AnnularTangle, budget: int | None = DEFAULT_CROSSING_BUDGET,
         else:
             out.pop(mc, None)
     return SkeinElement(tangle.endpoints, out)
-
-
-def compose(top, bottom, budget: int | None = DEFAULT_CROSSING_BUDGET):
-    """Stack two tangles (word concatenation) or two resolved elements.
-
-    Tangle x tangle requires the inner width of the first to match the
-    strand count of the second.  Element x element is the disjoint union and
-    needs one factor to be closed and arc-free (a polynomial in core loops).
-    """
-    if isinstance(top, AnnularTangle) and isinstance(bottom, AnnularTangle):
-        if top.final_width != bottom.endpoints:
-            raise MalformedTangle(
-                f"boundary mismatch: {top.final_width} vs {bottom.endpoints}")
-        return AnnularTangle(top.endpoints, top.slices + bottom.slices)
-    if isinstance(top, AnnularTangle):
-        top = resolve(top, budget)
-    if isinstance(bottom, AnnularTangle):
-        bottom = resolve(bottom, budget)
-    if top.endpoints != 0 and bottom.endpoints != 0:
-        raise MalformedTangle("disjoint union needs one closed, arc-free factor")
-    if top.endpoints != 0:
-        top, bottom = bottom, top
-    out: dict[Multicurve, Laurent] = {}
-    for mc1, c1 in top.terms.items():
-        if mc1.arcs:
-            raise MalformedTangle("closed factor contains arcs")
-        for mc2, c2 in bottom.terms.items():
-            mc = Multicurve(mc2.arcs, mc2.loops + mc1.loops)
-            c = c1 * c2
-            prev = out.get(mc)
-            s = c if prev is None else prev + c
-            if s:
-                out[mc] = s
-            else:
-                out.pop(mc, None)
-    return SkeinElement(bottom.endpoints, out)
 
 
 def multicurve_tangle(mc: Multicurve) -> AnnularTangle:

@@ -28,9 +28,7 @@ from types import MappingProxyType
 
 from .algebra import Laurent, UniPoly
 from .skein import (
-    DEFAULT_CROSSING_BUDGET,
     AnnularTangle,
-    BudgetError,
     Multicurve,
     PlanarityError,
     SkeinElement,
@@ -102,22 +100,18 @@ def collar_states(slope: int, width: int) -> MappingProxyType:
     """Final states of the collar word alone (read-only), the ``start`` of every
     rotation, without the states holding a winding-0 arc (the quotient kills them)."""
     word = AnnularTangle(width, rotation_slices(slope, width))
-    return MappingProxyType(resolve_states(word, None, drop_trivial_arcs=True))
+    return MappingProxyType(resolve_states(word, drop_trivial_arcs=True))
 
 
 def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
     """The rotation operator applied to a closed tangle, normalization included,
     without the terms holding a winding-0 arc (the quotient kills them).
 
-    The crossing guard covers the full word :func:`rotate` (tangle, slope) and
-    runs first; the tangle's sum then continues from :func:`collar_states`.
+    The tangle's state sum continues from :func:`collar_states`; both sums
+    are bounded by the state budget of :func:`resolve_states`, whose refusal
+    names the live state count and the strand count 2k.
     """
     width = tangle.endpoints
-    crossings = rotate(tangle, slope).crossings
-    if crossings > DEFAULT_CROSSING_BUDGET:
-        raise BudgetError(
-            f"rotation at slope {slope} on {width} strands (k={width // 2}): "
-            f"{crossings} crossings exceed the exact budget of {DEFAULT_CROSSING_BUDGET}")
     el = resolve(tangle, start=collar_states(slope, width), drop_trivial_arcs=True)
     return el.scale(Laurent.A(rotation_norm_exponent(slope, width)))
 
@@ -299,9 +293,9 @@ def rotation_matrix(slope: int, k: int) -> tuple:
 
     Column m holds the quotient coordinates of rotate(w^m); every column's
     state sum continues from the same cached collar states.  Rotating an
-    arbitrary element then reduces to one matrix-vector product, which keeps
-    every state sum within the crossing budget no matter how many times the
-    rotation is iterated.
+    arbitrary element then reduces to one matrix-vector product, so iterating
+    the rotation runs no further state sum; only the columns' sums meet the
+    state budget.
     """
     cols = []
     for m in range(slope - 1):

@@ -34,18 +34,26 @@ import numpy as np
 
 from .algebra import TracePoly
 from .charvariety import AdmissiblePair, Component, TorusKnotConfig
+from .skein import BudgetError
 
 SERIES_MAX = 16
+WORD_BUDGET = 2 ** 12  # bound on (i+1)(j+1); tr(u^63 v^63) takes 1.4 s
 
 
 @lru_cache(maxsize=None)
 def trace_word(i: int, j: int) -> TracePoly:
     """tr(u^i v^j) as an exact polynomial in x, y, z (i, j >= 0).
 
-    For i, j >= 1 the result has z-degree exactly 1.
+    For i, j >= 1 the result has z-degree exactly 1.  It has about
+    (i+1)(j+1)/2 terms; BudgetError refuses (i+1)(j+1) over WORD_BUDGET
+    before anything is built.
     """
     if i < 0 or j < 0:
         raise ValueError("exponents must be nonnegative")
+    if (i + 1) * (j + 1) > WORD_BUDGET:
+        raise BudgetError(
+            f"tr(u^{i} v^{j}): (i+1)(j+1) = {(i + 1) * (j + 1)} exceeds the "
+            f"word budget of {WORD_BUDGET}")
     if (i, j) == (0, 0):
         return TracePoly.constant(2)
     if (i, j) == (1, 0):

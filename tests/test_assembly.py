@@ -252,14 +252,17 @@ def test_triple_agreement_matches_per_entry_reference(p, q, seed):
     assert not got[0]
 
 
-def test_rotation_refusal_witness_names_the_case():
-    # the witness of a guard refusal is enough to rerun the failing case
+def test_rotation_refusal_witness_names_the_case(state_budget):
+    # the witness of a guard refusal is enough to rerun the refused case:
+    # slope 9 peaks at 9 live states for k=1 and 52 for k=2
+    state_budget(20)
     report = verify_theorem(TorusKnotConfig(2, 9), max_k=2)
     check, = [c for c in report.checks if c["name"] == "rotation-order-slope9"]
     assert not check["pass"]
-    error = check["witness"]["error"]
-    assert error.startswith("BudgetError")
-    assert "slope 9" in error and "k=2" in error
+    refusal = check["witness"]["refused"]
+    assert refusal == {"slope": 9, "k": 2, "budget": 20, "states": refusal["states"]}
+    assert refusal["states"] > 20
+    assert report.failed == [] and not report.all_passed
 
 
 def test_report_json_schema():

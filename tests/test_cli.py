@@ -1,12 +1,16 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from torusskein import skein
 from torusskein.cli import main
-from torusskein.traces import trace_word
+from torusskein.traces import WORD_BUDGET, trace_word
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +40,16 @@ def test_trace_poly_high_degree(capsys):
     assert out.startswith("y^510 - ")
     info = trace_word.cache_info()
     assert info.misses == info.currsize == 511
+
+
+def test_trace_poly_refuses_oversized_words(capsys):
+    # (i+1)(j+1) is about twice the word's term count; an oversized word is
+    # refused before any of it is built
+    trace_word.cache_clear()
+    code, out, err = run_cli(capsys, "trace-poly", "300", "300")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(WORD_BUDGET) in err
+    assert trace_word.cache_info().currsize == 0
 
 
 def test_char_variety_human(capsys):
@@ -70,18 +84,17 @@ def test_bracket_resolves_diagram(tmp_path, capsys):
                                 "core_loops": 0, "coeff": "-A^-3"}]
 
 
-def test_bracket_budget_flag(tmp_path, capsys):
-    diagram = {"endpoints": 0,
-               "slices": ([{"op": "cup", "pos": 0}]
-                          + [{"op": "crossing", "pos": 0, "sign": 1}] * 23
-                          + [{"op": "cap", "pos": 0}]),
-               "meta": {}}
+def test_bracket_budget_flag(tmp_path, capsys, monkeypatch):
+    # ten crossings on six strands peak at 232 live states
+    slices = ([{"op": "crossing", "pos": i % 6, "sign": 1} for i in range(10)]
+              + [{"op": "cap", "pos": 4 - 2 * i} for i in range(3)])
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(diagram))
+    path.write_text(json.dumps({"endpoints": 6, "slices": slices, "meta": {}}))
+    monkeypatch.setattr(skein, "STATE_BUDGET", 100)
     code, _, err = run_cli(capsys, "bracket", str(path))
-    assert code == 2 and "exceed" in err
-    code, out, _ = run_cli(capsys, "bracket", str(path), "--budget", "30")
-    assert code == 0
+    assert code == 2 and "live states on 6 strands exceed the state budget of 100" in err
+    code, out, _ = run_cli(capsys, "bracket", str(path), "--budget", "300")
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("diagram, field", [
@@ -163,6 +176,46 @@ def test_verify_report_digest(capsys, p, q, max_k, digest):
     assert code == 0
     assert out.endswith("\n")
     assert hashlib.sha256(out[:-1].encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p, q, max_k", [("2", "9", "2"), ("7", "8", "3")])
+def test_verify_passes_past_the_crossing_count(capsys, p, q, max_k):
+    # rotation words of 25 to 36 crossings stay far inside the bound on
+    # live states (at most 169 here)
+    code, out, _ = run_cli(capsys, "verify", p, q, "--max-k", max_k, "--no-timings")
+    assert code == 0 and out.endswith("all checks passed\n")
+
+
+def test_verify_refusal_is_not_failure(capsys, state_budget):
+    # (7, 8) at k = 3 peaks at 138 live states on slope 7 and 169 on slope 8
+    state_budget(100)
+    code, out, _ = run_cli(capsys, "verify", "7", "8", "--max-k", "3", "--no-timings")
+    assert code == 3
+    assert "[REFUSED] rotation-order-slope8" in out and "[FAIL]" not in out
+    code, out, _ = run_cli(capsys, "verify", "7", "8", "--max-k", "3", "--json",
+                           "--no-timings")
+    assert code == 3
+    check, = [c for c in json.loads(out)["checks"] if c["name"] == "rotation-order-slope8"]
+    assert check["pass"] is False
+    assert check["witness"]["refused"]["slope"] == 8
+    assert check["witness"]["refused"]["k"] == 3
+
+
+def test_sweep_counts_refusals_apart(capsys, monkeypatch, state_budget):
+    # slope 5 peaks at 24 live states for k = 2, slopes 2 to 4 at most 17
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
+    spec = importlib.util.spec_from_file_location("verify_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    state_budget(20)
+    monkeypatch.setattr(sys, "argv", ["verify_sweep.py", "5", "2"])
+    assert sweep.main() == 3
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.startswith("  (")]
+    status = {row[0]: row[2] for row in rows if row[1].isdigit()}
+    assert status == {"(2,3)": "ok", "(2,5)": "REFUSED", "(3,4)": "ok",
+                      "(3,5)": "REFUSED", "(4,5)": "REFUSED"}
+    assert out.endswith("0 failing configuration(s), 3 refused configuration(s)\n")
 
 
 def test_usage_errors_exit_two(capsys):

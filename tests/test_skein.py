@@ -1,4 +1,4 @@
-"""State-sum engine: Kauffman relations, normal forms, composition."""
+"""State-sum engine: Kauffman relations, normal forms, the state budget."""
 
 import json
 
@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from torusskein import skein
 from torusskein.algebra import DELTA, Laurent
 from torusskein.skein import (
     AnnularTangle,
@@ -15,7 +16,6 @@ from torusskein.skein import (
     PlanarityError,
     SkeinElement,
     cap,
-    compose,
     crossing,
     cup,
     kink_slices,
@@ -249,50 +249,31 @@ def test_mixed_trivial_and_winding_arcs():
     assert el == SkeinElement(6, {mc: Laurent.one()})
 
 
-# -- composition --------------------------------------------------------------
-
-
-def test_compose_with_identity_tangle():
-    x = AnnularTangle(2, (crossing(0, 1), cap(0)))
-    ident = AnnularTangle(2, ())
-    assert resolve(compose(ident, x)) == resolve(x)
-
-
-def test_compose_braid_with_inverse():
-    sigma = AnnularTangle(4, (crossing(1, 1),))
-    sigma_inv = AnnularTangle(4, (crossing(1, -1),))
-    assert resolve_states(compose(sigma, sigma_inv)) == resolve_states(AnnularTangle(4, ()))
-
-
-def test_compose_core_loops():
-    loop = resolve(AnnularTangle(0, loop_slices(1)))
-    assert compose(loop, loop) == SkeinElement(0, {Multicurve((), 2): Laurent.one()})
-
-
-def test_compose_resolution_homomorphism():
-    # resolving a stacked diagram equals the disjoint union of resolutions
-    arcs = AnnularTangle(2, (cap(1),))
-    loops = AnnularTangle(0, loop_slices(2))
-    whole = AnnularTangle(2, arcs.slices + loops.slices)
-    assert resolve(whole) == compose(resolve(loops), resolve(arcs))
-    kinked = AnnularTangle(0, (cup(0), crossing(0, 1), rot(1), cap(0)))
-    whole = AnnularTangle(2, arcs.slices + kinked.slices)
-    assert resolve(whole) == compose(resolve(kinked), resolve(arcs))
-
-
-def test_compose_boundary_mismatch():
-    with pytest.raises(MalformedTangle):
-        compose(AnnularTangle(2, ()), AnnularTangle(4, ()))
-
-
 # -- guards and serialization -------------------------------------------------
 
 
-def test_crossing_budget():
-    word = (cup(0),) + (crossing(0, 1),) * 23 + (cap(0),)
+def test_crossing_budget(monkeypatch):
+    # the bound is on live states, not crossings: a 23-crossing curl chain
+    # keeps one live state, so even a budget of one admits it
+    curls = AnnularTangle(0, (cup(0),) + (crossing(0, 1),) * 23 + (cap(0),))
+    assert resolve(curls, 1) == resolve(curls)
+    # a slice at most doubles the live states, so a sum refused with at most
+    # twice its budget stopped at the first slice over it, before it grew;
+    # the refusal names the count, the bound and the width
+    word = AnnularTangle(6, tuple(crossing(i % 6, 1) for i in range(10)))
+    size = len(resolve_states(word))
+    limit = size // 4
+    with pytest.raises(BudgetError) as exc:
+        resolve_states(word, limit)
+    figures = exc.value.figures
+    assert limit < figures["states"] <= 2 * limit < size
+    assert figures == {"states": figures["states"], "budget": limit, "strands": 6}
+    assert resolve_states(word, size) == resolve_states(word)
+    # the module's bound is read at each call; an explicit budget lifts it
+    monkeypatch.setattr(skein, "STATE_BUDGET", limit)
     with pytest.raises(BudgetError):
-        resolve(AnnularTangle(0, word))
-    assert resolve(AnnularTangle(0, word), budget=None) is not None
+        resolve_states(word)
+    assert resolve_states(word, size) == resolve_states(word, 10 ** 6)
 
 
 def test_malformed_words_rejected():

@@ -2,12 +2,11 @@
 
 import pytest
 
-from torusskein import sprime
+from torusskein import skein, sprime
 from torusskein.algebra import DELTA, Laurent
 from torusskein.assembly import verify_theorem
 from torusskein.charvariety import TorusKnotConfig
 from torusskein.skein import (
-    DEFAULT_CROSSING_BUDGET,
     AnnularTangle,
     BudgetError,
     Multicurve,
@@ -169,8 +168,6 @@ def test_rotated_element_matches_full_word():
         for k in (1, 2, 3):
             norm = Laurent.A(rotation_norm_exponent(slope, 2 * k))
             for t in _rotated_tangles(slope, k):
-                if rotate(t, slope).crossings > DEFAULT_CROSSING_BUDGET:
-                    continue
                 want = _without_trivial_arcs(resolve(rotate(t, slope)).scale(norm))
                 assert rotated_element(t, slope) == want, (slope, k, t)
 
@@ -186,22 +183,34 @@ def test_collar_keeps_only_states_without_trivial_arcs():
     assert dict(sprime.collar_states(5, 6)) == want
 
 
-def test_rotation_guard_matches_full_word():
-    # the guard refuses exactly the words the full state sum would refuse,
-    # and runs no collar sum for a refused case
-    for slope, k in GRID + [(9, 2)]:
-        for t in _rotated_tangles(slope, k):
-            over = rotate(t, slope).crossings > DEFAULT_CROSSING_BUDGET
-            misses = sprime.collar_states.cache_info().misses
-            try:
-                rotated_element(t, slope)
-            except BudgetError as exc:
-                assert over, (slope, k, t)
-                assert f"slope {slope}" in str(exc) and f"k={k}" in str(exc)
-                assert "exceed" in str(exc)
-                assert sprime.collar_states.cache_info().misses == misses
-            else:
-                assert not over, (slope, k, t)
+def _peak_live_states(word):
+    """The most live states after any slice of the word's pruned state sum."""
+    peak, states, width = 0, None, word.endpoints
+    for ev in word.slices:
+        step = AnnularTangle(width, (ev,))
+        states = resolve_states(step, 10 ** 6, states, drop_trivial_arcs=True)
+        peak = max(peak, len(states))
+        width = step.final_width
+    return peak
+
+
+def test_rotation_guard_matches_full_word(state_budget):
+    # the guard refuses exactly the rotations whose pruned sum over the full
+    # word, collar then tangle, peaks over the budget, and names the case
+    limit = 30
+    cases = [(slope, k, t) for slope, k in GRID + [(9, 2)] for t in _rotated_tangles(slope, k)]
+    peaks = [_peak_live_states(rotate(t, slope)) for slope, k, t in cases]
+    assert min(peaks) <= limit < max(peaks)
+    state_budget(limit)
+    for (slope, k, t), peak in zip(cases, peaks):
+        try:
+            rotated_element(t, slope)
+        except BudgetError as exc:
+            assert peak > limit, (slope, k, t)
+            assert exc.figures["strands"] == 2 * k
+            assert limit < exc.figures["states"] <= peak
+        else:
+            assert peak <= limit, (slope, k, t)
 
 
 def test_rotated_element_repeats():
@@ -267,10 +276,11 @@ def test_basis_index_range_guard():
 
 
 def test_rotation_collar_crossing_count():
-    # the collar stays inside the exact state-sum budget on the whole grid
-    for slope, k in GRID:
-        tg = rotate(power_tangle(k, 0), slope)
-        assert tg.crossings <= 22, (slope, k, tg.crossings)
+    # the collar stays inside the exact state-sum budget on the whole grid,
+    # whatever its crossing count
+    for slope, k in GRID + [(9, 2), (12, 1)]:
+        collar = AnnularTangle(2 * k, sprime.rotation_slices(slope, 2 * k))
+        assert _peak_live_states(collar) <= skein.STATE_BUDGET, (slope, k, collar.crossings)
 
 
 def test_verify_fills_one_cache_entry_per_slope_and_k():
