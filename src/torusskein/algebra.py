@@ -8,7 +8,7 @@ Three polynomial flavours cover everything downstream:
 * :class:`UniPoly` -- dense univariate polynomials over whatever scalar ring
   the caller supplies (ints, fractions, floats, or :class:`Laurent`).
 * :class:`TracePoly` -- sparse polynomials in the trace coordinates
-  ``x, y, z`` with rational coefficients.
+  ``x, y, z`` with integer coefficients.
 
 All values are immutable after construction; every operation is pure, so
 values can be shared freely across threads.
@@ -16,6 +16,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -344,42 +345,52 @@ def _fmt_scalar(c) -> str:
 
 
 class TracePoly:
-    """Sparse polynomial in the trace coordinates x, y, z over the rationals.
+    """Sparse polynomial in the trace coordinates x, y, z over the integers.
 
-    Terms map exponent triples (i, j, k) for x^i y^j z^k to nonzero Fractions.
+    Terms map exponent triples (i, j, k) for x^i y^j z^k to nonzero ints:
+    every trace of a word in u and v lies in Z[x, y, z].  An integral
+    Fraction coefficient is stored as its numerator; a non-integral one
+    raises ValueError and is never truncated.
     The canonical term order is graded lexicographic, which fixes both
     rendering and equality-of-string output across runs.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int, int], Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
+        clean: dict[tuple[int, int, int], int] = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = _integer(c)
                 if c:
                     clean[(int(key[0]), int(key[1]), int(key[2]))] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _wrap(cls, clean: dict) -> "TracePoly":
+        """A TracePoly owning ``clean``, whose coefficients are nonzero ints."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", clean)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TracePoly values are immutable")
 
     @staticmethod
     def constant(c) -> "TracePoly":
-        return TracePoly({(0, 0, 0): Fraction(c)})
+        return TracePoly({(0, 0, 0): c})
 
     @staticmethod
     def x(power: int = 1) -> "TracePoly":
-        return TracePoly({(power, 0, 0): Fraction(1)})
+        return TracePoly({(power, 0, 0): 1})
 
     @staticmethod
     def y(power: int = 1) -> "TracePoly":
-        return TracePoly({(0, power, 0): Fraction(1)})
+        return TracePoly({(0, power, 0): 1})
 
     @staticmethod
     def z(power: int = 1) -> "TracePoly":
-        return TracePoly({(0, 0, power): Fraction(1)})
+        return TracePoly({(0, 0, power): 1})
 
     def __add__(self, other):
         other = _coerce_trace(other)
@@ -387,17 +398,17 @@ class TracePoly:
             return NotImplemented
         r = dict(self.terms)
         for key, c in other.terms.items():
-            s = r.get(key, Fraction(0)) + c
+            s = r.get(key, 0) + c
             if s:
                 r[key] = s
             else:
                 r.pop(key, None)
-        return TracePoly(r)
+        return TracePoly._wrap(r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TracePoly({key: -c for key, c in self.terms.items()})
+        return TracePoly._wrap({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce_trace(other)
@@ -412,16 +423,16 @@ class TracePoly:
         other = _coerce_trace(other)
         if other is NotImplemented:
             return NotImplemented
-        r: dict[tuple[int, int, int], Fraction] = {}
+        r: dict[tuple[int, int, int], int] = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2, k1 + k2)
-                s = r.get(key, Fraction(0)) + c1 * c2
+                s = r.get(key, 0) + c1 * c2
                 if s:
                     r[key] = s
                 else:
                     r.pop(key, None)
-        return TracePoly(r)
+        return TracePoly._wrap(r)
 
     __rmul__ = __mul__
 
@@ -459,7 +470,7 @@ class TracePoly:
         return max(key[axis] for key in self.terms)
 
     def swap_xy(self) -> "TracePoly":
-        return TracePoly({(j, i, k): c for (i, j, k), c in self.terms.items()})
+        return TracePoly._wrap({(j, i, k): c for (i, j, k), c in self.terms.items()})
 
     def evaluate(self, xv, yv, zv):
         out = 0
@@ -516,6 +527,15 @@ class TracePoly:
 
     def __repr__(self):
         return f"TracePoly({self})"
+
+
+def _integer(c) -> int:
+    """c as an int: an integral Fraction gives its numerator, never a truncation."""
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"TracePoly coefficients are integers, got {c}")
+        return c.numerator
+    return operator.index(c)
 
 
 def _coerce_trace(v):

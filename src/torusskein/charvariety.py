@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import TracePoly, UniPoly, chebyshev
 
@@ -107,7 +106,7 @@ def restrict_to_component(
     Irreducible component: substitute the constant x and y, leaving a float
     polynomial in z; coefficients within trim_tol (scaled by the largest one)
     of zero are dropped.  Abelian component: exact composition with the
-    parametrization, a Fraction polynomial in s.
+    parametrization, an integer polynomial in s.
     """
     if comp.kind == "abelian":
         sx, sy, sz = abelian_parametrization(comp.cfg)
@@ -180,4 +179,4 @@ def abelian_parameter_witnesses(
 def knot_trace(cfg: TorusKnotConfig) -> TracePoly:
     """tr(u^q) = tr(v^p) as a polynomial in x (the class of the knot)."""
     tq = chebyshev(cfg.q)
-    return TracePoly({(i, 0, 0): Fraction(c) for i, c in enumerate(tq.coeffs) if c})
+    return TracePoly({(i, 0, 0): c for i, c in enumerate(tq.coeffs) if c})

@@ -13,14 +13,16 @@
 3. :func:`numeric_rep` -- explicit 2x2 matrices for a representation on a
    chosen irreducible component, for float cross-checks.
 
-:func:`trace_values` and :meth:`NumericRep.traces` evaluate a whole
-(i, j) table of routes 1 and 3 at one sample, sharing the powers of x, y, z
-(or of U and V) across its entries; each value is bit-for-bit the one the
-per-entry :meth:`TracePoly.evaluate` or :meth:`NumericRep.trace` gives.
+:func:`trace_values` and :func:`numeric_traces` evaluate a whole (i, j)
+table of routes 1 and 3 at a stack of samples in one batch: the powers of
+x, y, z (or of U and V) are taken once per sample, and each value is
+bit-for-bit the one the per-entry :meth:`TracePoly.evaluate` or
+:meth:`NumericRep.trace` gives.  The exact polynomials have int
+coefficients, so routes 1 and 2 run in integer arithmetic.
 
-The lru_cache memos behind trace_word, series_table and _word_terms (each
-word's terms with float coefficients) are the only shared state in this
-module; the results do not depend on evaluation order.
+The lru_cache memos behind trace_word, series_table and _term_columns
+(the words' terms laid out for the batch) are the only shared state in
+this module; the results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .charvariety import AdmissiblePair, Component, TorusKnotConfig
 from .skein import BudgetError
 
 SERIES_MAX = 16
-WORD_BUDGET = 2 ** 12  # bound on (i+1)(j+1); tr(u^63 v^63) takes 1.4 s
+WORD_BUDGET = 2 ** 12  # bound on (i+1)(j+1); `trace-poly 63 63` takes 0.4 s
 
 
 @lru_cache(maxsize=None)
@@ -76,34 +78,42 @@ def trace_word(i: int, j: int) -> TracePoly:
 
 
 @lru_cache(maxsize=None)
-def _word_terms(i: int, j: int) -> tuple:
-    """trace_word(i, j)'s terms as (float(c), a, b, e), in its term order.
+def _term_columns(max_ij: int) -> tuple:
+    """The terms of every trace_word(i, j), i, j <= max_ij, as columns.
 
-    float(c) is what ``Fraction * float`` computes inside TracePoly.evaluate.
+    Returns (c, a, b, e), each of shape (terms, words) with word
+    i*(max_ij+1) + j: row t holds each word's t-th term in its term order,
+    as float(c) (what ``c * float`` computes inside TracePoly.evaluate) and
+    the exponents of x, y, z.  A word with fewer terms is padded with
+    0.0 * x^0 y^0 z^0, which leaves a sum that started from +0 unchanged.
     """
-    return tuple((float(c), a, b, e) for (a, b, e), c in trace_word(i, j).terms.items())
+    n = max_ij + 1
+    words = [list(trace_word(i, j).terms.items()) for i in range(n) for j in range(n)]
+    coeffs = np.zeros((max(map(len, words)), len(words)))
+    expos = np.zeros((3,) + coeffs.shape, dtype=np.intp)
+    for w, terms in enumerate(words):
+        for t, (key, c) in enumerate(terms):
+            coeffs[t, w] = float(c)
+            expos[:, t, w] = key
+    return (coeffs, *expos)
 
 
-def trace_values(max_ij: int, xv: float, yv: float, zv: complex) -> list:
-    """[[trace_word(i, j).evaluate(xv, yv, zv) for j] for i], i, j <= max_ij.
+def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
+    """Exact trace values at a stack of samples, shape (S, max_ij+1, max_ij+1).
 
-    For float xv, yv and float or complex zv every value is bit-for-bit the
-    one evaluate returns: each power is taken once with ``**`` and the terms
-    are summed in the same order, from the same int 0.
+    Entry [s, i, j] is trace_word(i, j).evaluate(xs[s], ys[s], zs[s]) bit
+    for bit, for float xs and ys and for zs all float or all complex: each
+    power is taken with ``**``, each term multiplied as c*x^a*y^b*z^e, and
+    each word's terms added in its term order from +0, one term column at a
+    time over all samples (np.sum would add pairwise, in another order).
     """
-    xp = [xv ** n for n in range(max_ij + 1)]
-    yp = [yv ** n for n in range(max_ij + 1)]
-    zp = [zv ** n for n in range(max_ij + 1)]
-    out = []
-    for i in range(max_ij + 1):
-        row = []
-        for j in range(max_ij + 1):
-            acc = 0
-            for c, a, b, e in _word_terms(i, j):
-                acc = acc + c * xp[a] * yp[b] * zp[e]
-            row.append(acc)
-        out.append(row)
-    return out
+    n = max_ij + 1
+    xp, yp, zp = (np.array([[v ** m for m in range(n)] for v in vs])
+                  for vs in (xs, ys, zs))
+    acc = np.zeros((len(zp), n * n), dtype=zp.dtype)
+    for c, a, b, e in zip(*_term_columns(max_ij)):
+        acc = acc + c * xp[:, a] * yp[:, b] * zp[:, e]
+    return acc.reshape(-1, n, n)
 
 
 def _second_kind(gen: TracePoly, n: int) -> list[TracePoly]:
@@ -187,14 +197,6 @@ class NumericRep:
     def trace(self, i: int, j: int) -> complex:
         return complex(np.trace(self.word(i, j)))
 
-    def traces(self, max_i: int, max_j: int) -> list:
-        """[[self.trace(i, j) for j] for i], each power of U and V taken once."""
-        us = [np.linalg.matrix_power(self.U, i) for i in range(max_i + 1)]
-        vs = [np.linalg.matrix_power(self.V, j) for j in range(max_j + 1)]
-        # np.trace sums from +0.0, so it never returns a -0.0 part; "+ 0j"
-        # does the same, and the rest of the sum is the same single addition
-        return [[complex((m := u @ v)[0, 0] + m[1, 1]) + 0j for v in vs] for u in us]
-
     def validate(self, tol_det: float = 1e-12, tol_trace: float = 1e-9) -> None:
         comp = Component("irreducible", self.cfg, self.pair)
         if abs(np.linalg.det(self.U) - 1) > tol_det:
@@ -238,3 +240,20 @@ def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) ->
     rep = NumericRep(U, V, pair, complex(z_param), cfg)
     rep.validate()
     return rep
+
+
+def numeric_traces(reps, max_i: int, max_j: int) -> np.ndarray:
+    """Traces of U^i V^j for a stack of reps, shape (S, max_i+1, max_j+1).
+
+    Entry [s, i, j] is reps[s].trace(i, j), bit for bit: each power of the
+    stacked U and V is taken once with matrix_power, as trace takes it, and
+    one broadcast ``@`` forms every product.
+    """
+    us = np.stack([rep.U for rep in reps])
+    vs = np.stack([rep.V for rep in reps])
+    up = np.stack([np.linalg.matrix_power(us, i) for i in range(max_i + 1)], axis=1)
+    vp = np.stack([np.linalg.matrix_power(vs, j) for j in range(max_j + 1)], axis=1)
+    m = up[:, :, None] @ vp[:, None]
+    # np.trace sums from +0.0, so it never returns a -0.0 part; "+ 0j"
+    # does the same, and the rest of the sum is the same single addition
+    return m[..., 0, 0] + m[..., 1, 1] + 0j

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from torusskein.algebra import (
@@ -170,3 +171,14 @@ def test_trace_poly_evaluate_matches_terms():
     f = TracePoly.x() ** 2 * TracePoly.z() - 3 * TracePoly.y()
     assert f.evaluate(2, 1, 5) == 2 ** 2 * 5 - 3
     assert f.z_profile(2, 1) == [-3, 4]
+
+
+def test_trace_poly_coefficients_are_integers():
+    # an integral Fraction is stored as its int numerator; any other
+    # Fraction is refused, never truncated
+    assert TracePoly.constant(Fraction(3)) == TracePoly.constant(3)
+    assert type(TracePoly.constant(Fraction(3)).terms[(0, 0, 0)]) is int
+    with pytest.raises(ValueError):
+        TracePoly({(1, 0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        TracePoly.constant(Fraction(7, 3))

@@ -239,7 +239,7 @@ def reference_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
                           "samples": samples, "max_ij": max_ij}
 
 
-@pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (5, 12), (7, 11)])
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (5, 12), (7, 11), (2, 11), (11, 12)])
 @pytest.mark.parametrize("seed", [assembly.DEFAULT_SEED, 7])
 def test_triple_agreement_matches_per_entry_reference(p, q, seed):
     cfg = TorusKnotConfig(p, q)
@@ -250,6 +250,21 @@ def test_triple_agreement_matches_per_entry_reference(p, q, seed):
     got = assembly._check_triple_agreement(cfg, seed, tol=1e-18)
     assert got == reference_triple_agreement(cfg, seed, tol=1e-18)
     assert not got[0]
+    # at 1e-13 some cases pass, and the others return early at the first
+    # sample or at a later one
+    got = assembly._check_triple_agreement(cfg, seed, tol=1e-13)
+    assert got == reference_triple_agreement(cfg, seed, tol=1e-13)
+
+
+def test_triple_agreement_returns_early_after_the_first_sample():
+    # at the default seed, (3, 5) meets 1e-13 on its first three samples
+    # and misses it on the fourth
+    cfg = TorusKnotConfig(3, 5)
+    seed = assembly.DEFAULT_SEED
+    assert assembly._check_triple_agreement(cfg, seed, samples=3, tol=1e-13)[0]
+    got = assembly._check_triple_agreement(cfg, seed, samples=4, tol=1e-13)
+    assert not got[0]
+    assert got == assembly._check_triple_agreement(cfg, seed, tol=1e-13)
 
 
 def test_rotation_refusal_witness_names_the_case(state_budget):

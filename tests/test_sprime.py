@@ -163,12 +163,15 @@ def _without_trivial_arcs(el):
 
 def test_rotated_element_matches_full_word():
     # continuing from the cached collar states equals resolving the whole
-    # word, up to the trivial-arc terms the quotient kills
+    # word, up to the trivial-arc terms the quotient kills.  The oracle
+    # resolves the unpruned collar once per (slope, k), apart from
+    # collar_states, and continues each tangle's word from it.
     for slope in range(2, 7):
         for k in (1, 2, 3):
             norm = Laurent.A(rotation_norm_exponent(slope, 2 * k))
+            collar = resolve_states(AnnularTangle(2 * k, sprime.rotation_slices(slope, 2 * k)))
             for t in _rotated_tangles(slope, k):
-                want = _without_trivial_arcs(resolve(rotate(t, slope)).scale(norm))
+                want = _without_trivial_arcs(resolve(t, start=collar).scale(norm))
                 assert rotated_element(t, slope) == want, (slope, k, t)
 
 

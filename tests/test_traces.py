@@ -18,6 +18,7 @@ from torusskein.charvariety import (
 from torusskein.traces import (
     leading_z_coeff,
     numeric_rep,
+    numeric_traces,
     series_table,
     trace_values,
     trace_word,
@@ -135,29 +136,35 @@ def test_numeric_rep_matches_trace_word():
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
 def test_trace_values_equal_evaluate_exactly(cfg):
-    for pair in admissible_pairs(cfg):
-        comp = Component("irreducible", cfg, pair)
-        for z in (random_z(), random_z(), float(RNG.uniform(-2, 2))):
-            table = trace_values(8, comp.x_const, comp.y_const, z)
-            assert len(table) == 9 and all(len(row) == 9 for row in table)
+    # two complex z and one real z per pair, evaluated as one stack of the
+    # complex samples and one of the real ones
+    comps = [Component("irreducible", cfg, pair) for pair in admissible_pairs(cfg)]
+    draws = [(comp, (random_z(), random_z(), float(RNG.uniform(-2, 2)))) for comp in comps]
+    stacks = ([(comp, z) for comp, zs in draws for z in zs[:2]],
+              [(comp, zs[2]) for comp, zs in draws])
+    for stack in stacks:
+        table = trace_values(8, [comp.x_const for comp, _ in stack],
+                             [comp.y_const for comp, _ in stack], [z for _, z in stack])
+        assert table.shape == (len(stack), 9, 9)
+        for (comp, z), rows in zip(stack, table.tolist()):
             for i in range(9):
                 for j in range(9):
                     want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
-                    assert_same_number(table[i][j], want)
+                    assert_same_number(rows[i][j], want)
 
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
 def test_numeric_rep_traces_equal_trace_exactly(cfg):
-    for pair in admissible_pairs(cfg):
-        for _ in range(3):
-            rep = numeric_rep(pair, random_z(), cfg)
-            table = rep.traces(8, 8)
-            assert len(table) == 9 and all(len(row) == 9 for row in table)
-            for i in range(9):
-                for j in range(9):
-                    assert_same_number(table[i][j], rep.trace(i, j))
+    reps = [numeric_rep(pair, random_z(), cfg)
+            for pair in admissible_pairs(cfg) for _ in range(3)]
+    table = numeric_traces(reps, 8, 8)
+    assert table.shape == (len(reps), 9, 9)
+    for rep, rows in zip(reps, table.tolist()):
+        for i in range(9):
+            for j in range(9):
+                assert_same_number(rows[i][j], rep.trace(i, j))
     rep = numeric_rep(admissible_pairs(cfg)[0], random_z(), cfg)
-    assert [len(row) for row in rep.traces(2, 5)] == [6, 6, 6]
+    assert numeric_traces([rep], 2, 5).shape == (1, 3, 6)
 
 
 def test_leading_z_coeff_literals():
