@@ -22,6 +22,47 @@ from functools import lru_cache
 from typing import Mapping
 
 
+def _power(base, n: int, one):
+    """base ** n by square and multiply; ``one`` is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative power; a unit's inverse is unit_inverse")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def _signed_sum(pieces) -> str:
+    """Render (negative, body) pairs, highest term first, as "a - b + c"."""
+    out = ""
+    for neg, body in pieces:
+        if out:
+            out += f" {'-' if neg else '+'} {body}"
+        else:
+            out = ("-" if neg else "") + body
+    return out or "0"
+
+
+def _scalar_term(c, mon: str) -> tuple[bool, str]:
+    """(negative, body) of the term c*mon; an empty ``mon`` is the constant term."""
+    neg = c < 0
+    ac = -c if neg else c
+    if not mon:
+        return neg, _fmt_scalar(ac)
+    return neg, mon if ac == 1 else f"{_fmt_scalar(ac)}*{mon}"
+
+
+def _fmt_scalar(c) -> str:
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return str(c.numerator)
+    if isinstance(c, float) and c == int(c):
+        return str(int(c))
+    return str(c)
+
+
 class Laurent:
     """Laurent polynomial in A, stored as a sparse exponent -> int map."""
 
@@ -104,16 +145,7 @@ class Laurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers need a unit; use unit_inverse")
-        out = Laurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Laurent.one())
 
     def shift(self, exp: int) -> "Laurent":
         """Multiply by A^exp."""
@@ -160,22 +192,9 @@ class Laurent:
         return sum(c * a ** e for e, c in self.terms.items())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                mon = str(abs(c))
-            else:
-                var = "A" if e == 1 else f"A^{e}"
-                mon = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            pieces.append(("-" if c < 0 else "+", mon))
-        sign, mon = pieces[0]
-        out = ("-" if sign == "-" else "") + mon
-        for sign, mon in pieces[1:]:
-            out += f" {sign} {mon}"
-        return out
+        return _signed_sum(
+            _scalar_term(self.terms[e], "" if e == 0 else "A" if e == 1 else f"A^{e}")
+            for e in sorted(self.terms, reverse=True))
 
     def __repr__(self):
         return f"Laurent({self})"
@@ -273,16 +292,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UniPoly.constant(self.var, 1))
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -299,8 +309,6 @@ class UniPoly:
         return out
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         pieces = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
@@ -308,23 +316,10 @@ class UniPoly:
                 continue
             mon = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
             if isinstance(c, Laurent):
-                body = f"({c})" + (f"*{mon}" if mon else "")
-                pieces.append(("+", body))
-                continue
-            neg = c < 0
-            ac = -c if neg else c
-            if mon and ac == 1:
-                body = mon
-            elif mon:
-                body = f"{_fmt_scalar(ac)}*{mon}"
+                pieces.append((False, f"({c})" + (f"*{mon}" if mon else "")))
             else:
-                body = _fmt_scalar(ac)
-            pieces.append(("-" if neg else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                pieces.append(_scalar_term(c, mon))
+        return _signed_sum(pieces)
 
     def __repr__(self):
         return f"UniPoly({self})"
@@ -334,14 +329,6 @@ def _is_zero(c) -> bool:
     if isinstance(c, Laurent):
         return c.is_zero()
     return c == 0
-
-
-def _fmt_scalar(c) -> str:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
-    if isinstance(c, float) and c == int(c):
-        return str(int(c))
-    return str(c)
 
 
 class TracePoly:
@@ -437,16 +424,7 @@ class TracePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = TracePoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, TracePoly.constant(1))
 
     def __eq__(self, other):
         other = _coerce_trace(other)
@@ -500,30 +478,10 @@ class TracePoly:
         return (sum(key), key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms, key=self._order_key, reverse=True):
-            c = self.terms[key]
-            mon = "*".join(
-                (var if e == 1 else f"{var}^{e}")
-                for var, e in zip("xyz", key)
-                if e
-            )
-            neg = c < 0
-            ac = -c if neg else c
-            if mon and ac == 1:
-                body = mon
-            elif mon:
-                body = f"{_fmt_scalar(ac)}*{mon}"
-            else:
-                body = _fmt_scalar(ac)
-            pieces.append(("-" if neg else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _signed_sum(
+            _scalar_term(self.terms[key], "*".join(
+                (var if e == 1 else f"{var}^{e}") for var, e in zip("xyz", key) if e))
+            for key in sorted(self.terms, key=self._order_key, reverse=True))
 
     def __repr__(self):
         return f"TracePoly({self})"

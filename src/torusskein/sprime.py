@@ -6,9 +6,11 @@ kills every multicurve containing a winding-0 arc: any such multicurve
 contains an innermost trivial arc joining consecutive marked points, so this
 matches killing boundary-parallel arcs between consecutive points.  The
 survivors are the elements w^m -- k seam-crossing arcs in rainbow position
-plus m core loops -- and powers m >= p-1 reduce through relations obtained by
-rotating the null tangles that contain one trivial arc.  The reduced
-coordinates live in the basis {w^0, ..., w^(p-2)}.
+plus m core loops -- and powers m >= p-1 reduce through w^n times one
+relation, the rotated null tangle.  The reduced coordinates live in the basis
+{w^0, ..., w^(p-2)}.  Core loops lie inside the rotation collar, so the
+rotation commutes with w: rotating n more core loops raises every loop count
+of the rotated state sum by n.
 
 The rotation operator shifts every marked point one step along the framing
 curve, the last one passing the seam.  Its collar word sends one traveller
@@ -133,8 +135,8 @@ def power_tangle(k: int, m: int) -> AnnularTangle:
 def null_tangle(k: int, n: int) -> AnnularTangle:
     """k-1 seam arcs, one trivial arc on the last two points, n core loops.
 
-    Dies in the quotient; its rotation yields the reduction relation of
-    degree n + slope - 1.
+    Dies in the quotient; its rotation is w^n times the reduction relation,
+    of degree n + slope - 1.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
@@ -233,48 +235,54 @@ def winding_part(el: SkeinElement, k: int) -> dict[int, Laurent]:
 
 
 @lru_cache(maxsize=None)
-def reduction_relation(slope: int, k: int, n: int) -> tuple:
-    """Coefficients (by loop power) of the relation rotate(null_tangle(k, n)).
+def reduction_relation(slope: int, k: int) -> tuple:
+    """Coefficients (by loop power) of the relation rotate(null_tangle(k, 0)).
 
-    The relation vanishes in the quotient; it has top degree n + slope - 1
-    with a unit leading coefficient, which makes the rewriting well founded.
-    A non-unit leading coefficient is a hard failure.
+    It vanishes in the quotient, and w^n times it is rotate(null_tangle(k, n)).
+    Its top degree slope - 1 and unit leading coefficient make the rewriting
+    of every w^m, m >= slope - 1, well founded; anything else is a hard failure.
     """
-    el = rotated_element(null_tangle(k, n), slope)
-    poly = winding_part(el, k)
-    top = n + slope - 1
+    poly = winding_part(rotated_element(null_tangle(k, 0), slope), k)
+    top = slope - 1
     degree = max(poly) if poly else -1
     if degree != top:
         raise QuotientError(
-            f"relation (slope={slope}, k={k}, n={n}) has degree {degree}, "
+            f"relation (slope={slope}, k={k}) has degree {degree}, "
             f"expected {top}: {poly}")
     if poly[top].unit_parts() is None:
         raise QuotientError(
-            f"relation (slope={slope}, k={k}, n={n}) has non-invertible "
+            f"relation (slope={slope}, k={k}) has non-invertible "
             f"leading coefficient {poly[top]}")
     return tuple(poly.get(m, Laurent.zero()) for m in range(top + 1))
 
 
-def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> list[Laurent]:
-    """Coordinates of el in the quotient basis {w^m : 0 <= m <= slope-2}."""
+def _reduce_winding(poly: dict[int, Laurent], slope: int, k: int) -> list[Laurent]:
+    """Coordinates of a map loops -> coeff, which is consumed: each w^m with
+    m >= slope-1 is cancelled by w^(m-slope+1) times the relation."""
     if slope < 2:
         raise ValueError("slope must be at least 2 for a nontrivial quotient")
-    poly = winding_part(el, k)
+    rel = reduction_relation(slope, k)
+    top = slope - 1
+    inverse = rel[top].unit_inverse()
     while poly:
         m = max(poly)
-        if m < slope - 1:
+        if m < top:
             break
-        rel = reduction_relation(slope, k, m - slope + 1)
-        factor = poly[m] * rel[m].unit_inverse()
-        for d in range(m + 1):
-            if not rel[d]:
+        factor = poly[m] * inverse
+        for d, c in enumerate(rel, start=m - top):
+            if not c:
                 continue
-            s = poly.get(d, Laurent.zero()) - factor * rel[d]
+            s = poly.get(d, Laurent.zero()) - factor * c
             if s:
                 poly[d] = s
             else:
                 poly.pop(d, None)
-    return [poly.get(m, Laurent.zero()) for m in range(slope - 1)]
+    return [poly.get(m, Laurent.zero()) for m in range(top)]
+
+
+def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> list[Laurent]:
+    """Coordinates of el in the quotient basis {w^m : 0 <= m <= slope-2}."""
+    return _reduce_winding(winding_part(el, k), slope, k)
 
 
 def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int) -> list[Laurent]:
@@ -291,17 +299,15 @@ def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int) -> list[Lauren
 def rotation_matrix(slope: int, k: int) -> tuple:
     """Columns of the rotation operator in the basis {w^m}, m < slope-1.
 
-    Column m holds the quotient coordinates of rotate(w^m); every column's
-    state sum continues from the same cached collar states.  Rotating an
+    Column m holds the quotient coordinates of rotate(w^m): the one state sum
+    rotate(w^0), reduced with every loop count raised by m.  Rotating an
     arbitrary element then reduces to one matrix-vector product, so iterating
-    the rotation runs no further state sum; only the columns' sums meet the
-    state budget.
+    the rotation runs no further state sum.
     """
-    cols = []
-    for m in range(slope - 1):
-        el = rotated_element(power_tangle(k, m), slope)
-        cols.append(tuple(quotient_coordinates(el, slope, k)))
-    return tuple(cols)
+    rainbow = winding_part(rotated_element(power_tangle(k, 0), slope), k)
+    return tuple(
+        tuple(_reduce_winding({d + m: c for d, c in rainbow.items()}, slope, k))
+        for m in range(slope - 1))
 
 
 def apply_matrix(cols, vec: list[Laurent]) -> list[Laurent]:

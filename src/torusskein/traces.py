@@ -198,6 +198,10 @@ class NumericRep:
         return complex(np.trace(self.word(i, j)))
 
     def validate(self, tol_det: float = 1e-12, tol_trace: float = 1e-9) -> None:
+        # every test below is ``> tol``, which NaN would pass
+        if not (cmath.isfinite(self.z_param) and np.isfinite(self.U).all()
+                and np.isfinite(self.V).all()):
+            raise ValueError("z or an entry of U or V is not finite")
         comp = Component("irreducible", self.cfg, self.pair)
         if abs(np.linalg.det(self.U) - 1) > tol_det:
             raise ValueError("det U drifted from 1")

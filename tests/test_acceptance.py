@@ -41,9 +41,13 @@ from torusskein.sprime import (
     identity_matrix,
     matrix_power,
     normalized_basis_coordinates,
+    null_tangle,
     reduction_relation,
+    rotate,
     rotation_exponents,
     rotation_matrix,
+    rotation_norm_exponent,
+    winding_part,
 )
 from torusskein.traces import leading_z_coeff, numeric_rep, series_table, trace_word
 
@@ -194,10 +198,15 @@ def test_criterion_6_basis_and_rotation_exponents():
 def test_criterion_7_relation_degrees():
     with criterion("relation degree n + p - 1 with invertible leading term", 120.0):
         for p, k in SKEIN_GRID:
+            rel = reduction_relation(p, k)
+            norm = Laurent.A(rotation_norm_exponent(p, 2 * k))
             for n in range(4):
-                rel = reduction_relation(p, k, n)
-                assert len(rel) - 1 == n + p - 1, (p, k, n)
-                assert rel[-1].unit_parts() is not None, (p, k, n)
+                # rotate(null_tangle(k, n)) resolved as one word is w^n times the relation
+                word = rotate(null_tangle(k, n), p)
+                poly = winding_part(resolve(word, drop_trivial_arcs=True).scale(norm), k)
+                assert max(poly) == n + p - 1, (p, k, n)
+                assert poly[n + p - 1].unit_parts() is not None, (p, k, n)
+                assert poly == {d + n: c for d, c in enumerate(rel) if c}, (p, k, n)
 
 
 def test_criterion_8_sine_matrix_invertible():

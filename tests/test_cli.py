@@ -168,6 +168,7 @@ def test_outputs_byte_identical(capsys):
     ("3", "5", "2", "bc95be4e4e43b1601189144f8bfbe35bad3fc44dba8044f3974aac9f6bdf1b2a"),
     ("7", "12", "1", "bb5cacb3157253cacb05dcf8afc35296f436184f4c0353f90ac1dee1caf693d3"),
     ("5", "11", "1", "2287ecef773256c4515e10e66afc35808739525fa371db4e40588c6f679d8c52"),
+    ("7", "8", "3", "4456a3262115363c4b7206584a12801ee809512dfb0cba3a86d5a0cc4ea284be"),
 ])
 def test_verify_report_digest(capsys, p, q, max_k, digest):
     # the deterministic report is pinned byte for byte at the default seed

@@ -35,6 +35,7 @@ from torusskein.sprime import (
     rotation_matrix,
     rotation_norm_exponent,
     tangle_coordinates,
+    winding_part,
 )
 
 A = Laurent.A
@@ -98,18 +99,44 @@ def test_reduction_of_top_power():
     # slope 3: the first reducible power rewrites to a unit multiple of w^0
     coords = tangle_coordinates(power_tangle(1, 2), 3, 1)
     assert coords[0].unit_parts() is not None or coords[0] == ZERO
-    rel = reduction_relation(3, 1, 0)
+    rel = _rotated_null_relation(3, 1, 0)
     want = [rel[0] * rel[2].unit_inverse() * Laurent({0: -1}), ZERO]
     assert coords == want
 
 
+def _rotated_null_relation(slope, k, n):
+    """Coefficients (by loop power) of rotate(null_tangle(k, n)), resolved as
+    one word, collar then tangle: the reference for the relation."""
+    norm = A(rotation_norm_exponent(slope, 2 * k))
+    el = resolve(rotate(null_tangle(k, n), slope), drop_trivial_arcs=True).scale(norm)
+    poly = winding_part(el, k)
+    return [poly.get(d, ZERO) for d in range(max(poly) + 1)]
+
+
 def test_relation_degrees_and_units():
+    # each rotated null tangle has degree n + slope - 1, a unit leading
+    # coefficient, and is w^n times the one relation
     for slope in (2, 3, 5):
         for k in (1, 2, 3):
+            rel = reduction_relation(slope, k)
             for n in range(4):
-                rel = reduction_relation(slope, k, n)
-                assert len(rel) - 1 == n + slope - 1
-                assert rel[-1].unit_parts() is not None
+                want = _rotated_null_relation(slope, k, n)
+                assert len(want) - 1 == n + slope - 1
+                assert want[-1].unit_parts() is not None
+                assert want == [ZERO] * n + list(rel), (slope, k, n)
+
+
+def test_relation_closed_form():
+    # the relation is -A^(2k) S_(slope-1)(w), S the Chebyshev polynomial of
+    # the second kind: S_0 = 1, S_1 = w, S_(m+1) = w S_m - S_(m-1)
+    cheb = [[1], [0, 1]]
+    while len(cheb) < 8:
+        up = [0] + cheb[-1]
+        cheb.append([a - b for a, b in zip(up, cheb[-2] + [0, 0])])
+    for slope in range(2, 9):
+        for k in (1, 2, 3):
+            want = tuple(-A(2 * k) * c for c in cheb[slope - 1])
+            assert reduction_relation(slope, k) == want, (slope, k)
 
 
 def test_quotient_requires_slope_two():
@@ -139,6 +166,16 @@ def test_rotation_is_linear_on_elements():
     assert parts == whole
 
 
+def test_rotation_matrix_columns_are_rotated_powers():
+    # column m, built from the rotated w^0 with every loop count raised by m,
+    # equals the rotation of w^m resolved on its own
+    for slope, k in GRID:
+        cols = rotation_matrix(slope, k)
+        for m in range(slope - 1):
+            want = quotient_coordinates(rotated_element(power_tangle(k, m), slope), slope, k)
+            assert list(cols[m]) == want, (slope, k, m)
+
+
 def test_rotation_matrix_matches_direct_rotation():
     for slope, k in ((2, 1), (3, 1), (3, 2), (5, 1)):
         cols = rotation_matrix(slope, k)
@@ -150,7 +187,9 @@ def test_rotation_matrix_matches_direct_rotation():
 
 
 def _rotated_tangles(slope, k):
-    """The power, null and basis tangles that the checks and tests rotate."""
+    """The power, null and basis tangles that the tests rotate.  The quotient
+    tables rotate only w^0, the null tangle without core loops and the basis
+    tangles; the rest are their references."""
     yield from (power_tangle(k, m) for m in range(slope - 1))
     yield from (null_tangle(k, n) for n in range(slope - 1))
     yield from (basis_tangle(k, j, slope) for j in range(1, slope))
@@ -296,7 +335,7 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
         fn.cache_clear()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
     for fn in (sprime.rotation_matrix, sprime.basis_coordinates,
-               sprime.rotation_exponents):
+               sprime.reduction_relation, sprime.rotation_exponents):
         assert fn.cache_info().currsize == 4, fn.__name__  # {2, 3} x {1, 2}
     # one collar per slope and width: {2, 3} x {2, 4}
     assert sprime.collar_states.cache_info().currsize == 4

@@ -122,6 +122,13 @@ def test_numeric_rep_reducible_at_meeting_points():
         assert abs(rep.V[1, 0]) < 1e-9
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf")])
+def test_numeric_rep_rejects_non_finite_z(z):
+    # NaN compares False with every tolerance, so finiteness is tested first
+    with pytest.raises(ValueError, match="not finite"):
+        numeric_rep(AdmissiblePair(1, 1), z, TorusKnotConfig(2, 3))
+
+
 def test_numeric_rep_matches_trace_word():
     cfg = TorusKnotConfig(3, 4)
     for pair in admissible_pairs(cfg):
