@@ -10,6 +10,15 @@ Three polynomial flavours cover everything downstream:
 * :class:`TracePoly` -- sparse polynomials in the trace coordinates
   ``x, y, z`` with integer coefficients.
 
+Laurent and TracePoly share one sparse core, ``_Sparse``: a map from
+monomial keys to nonzero ints, with addition, negation, subtraction, powers,
+equality, hashing and immutability written once.  The results of those
+operations are built straight from maps already clean, without another pass
+through the validating constructor.  Each class adds its constructor, the
+scalars it coerces (Laurent: int; TracePoly: int or integral Fraction), its
+product (int exponents against exponent triples), and its rendering and
+evaluation.
+
 All values are immutable after construction; every operation is pure, so
 values can be shared freely across threads.
 """
@@ -63,10 +72,75 @@ def _fmt_scalar(c) -> str:
     return str(c)
 
 
-class Laurent:
-    """Laurent polynomial in A, stored as a sparse exponent -> int map."""
+class _Sparse:
+    """Sparse integer polynomial: ``terms`` maps monomial keys to nonzero ints.
+
+    A subclass supplies its validating ``__init__``, ``_coerce`` (its own
+    values and the scalars it accepts, else NotImplemented) and ``__mul__``.
+    """
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def _wrap(cls, clean: dict):
+        """A value owning ``clean``, whose coefficients are nonzero ints."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", clean)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        r = dict(self.terms)
+        for key, c in other.terms.items():
+            s = r.get(key, 0) + c
+            if s:
+                r[key] = s
+            else:
+                r.pop(key, None)
+        return self._wrap(r)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __pow__(self, n: int):
+        return _power(self, n, self._coerce(1))
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class Laurent(_Sparse):
+    """Laurent polynomial in A, stored as a sparse exponent -> int map."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -76,8 +150,13 @@ class Laurent:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Laurent values are immutable")
+    @staticmethod
+    def _coerce(v):
+        if isinstance(v, Laurent):
+            return v
+        if isinstance(v, int):
+            return Laurent._wrap({0: v} if v else {})
+        return NotImplemented
 
     # -- constructors ------------------------------------------------------
 
@@ -100,35 +179,12 @@ class Laurent:
 
     # -- ring ops ----------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        r = dict(self.terms)
-        for e, c in other.terms.items():
-            s = r.get(e, 0) + c
-            if s:
-                r[e] = s
-            else:
-                r.pop(e, None)
-        return Laurent(r)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_laurent(other) + (-self)
+    # bound here, not only inherited: bench/tracing.py counts additions by
+    # wrapping the __add__ in Laurent's own namespace, vars(Laurent)
+    __add__ = __radd__ = _Sparse.__add__
 
     def __mul__(self, other):
-        other = _coerce_laurent(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         r: dict[int, int] = {}
@@ -140,34 +196,15 @@ class Laurent:
                     r[e] = s
                 else:
                     r.pop(e, None)
-        return Laurent(r)
+        return Laurent._wrap(r)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return _power(self, n, Laurent.one())
-
     def shift(self, exp: int) -> "Laurent":
         """Multiply by A^exp."""
-        return Laurent({e + exp: c for e, c in self.terms.items()})
+        return Laurent._wrap({e + exp: c for e, c in self.terms.items()})
 
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {0: other})
-        if isinstance(other, Laurent):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    # -- units -------------------------------------------------------------
 
     def unit_parts(self) -> tuple[int, int] | None:
         """If the value is +-A^m, return (sign, m); otherwise None."""
@@ -198,14 +235,6 @@ class Laurent:
 
     def __repr__(self):
         return f"Laurent({self})"
-
-
-def _coerce_laurent(v):
-    if isinstance(v, Laurent):
-        return v
-    if isinstance(v, int):
-        return Laurent({0: v})
-    return NotImplemented
 
 
 DELTA = Laurent.loop_value()
@@ -331,7 +360,7 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
-class TracePoly:
+class TracePoly(_Sparse):
     """Sparse polynomial in the trace coordinates x, y, z over the integers.
 
     Terms map exponent triples (i, j, k) for x^i y^j z^k to nonzero ints:
@@ -342,7 +371,7 @@ class TracePoly:
     rendering and equality-of-string output across runs.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
         clean: dict[tuple[int, int, int], int] = {}
@@ -353,15 +382,13 @@ class TracePoly:
                     clean[(int(key[0]), int(key[1]), int(key[2]))] = c
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _wrap(cls, clean: dict) -> "TracePoly":
-        """A TracePoly owning ``clean``, whose coefficients are nonzero ints."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", clean)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TracePoly values are immutable")
+    @staticmethod
+    def _coerce(v):
+        if isinstance(v, TracePoly):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return TracePoly.constant(v)
+        return NotImplemented
 
     @staticmethod
     def constant(c) -> "TracePoly":
@@ -379,35 +406,8 @@ class TracePoly:
     def z(power: int = 1) -> "TracePoly":
         return TracePoly({(0, 0, power): 1})
 
-    def __add__(self, other):
-        other = _coerce_trace(other)
-        if other is NotImplemented:
-            return NotImplemented
-        r = dict(self.terms)
-        for key, c in other.terms.items():
-            s = r.get(key, 0) + c
-            if s:
-                r[key] = s
-            else:
-                r.pop(key, None)
-        return TracePoly._wrap(r)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TracePoly._wrap({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce_trace(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_trace(other) + (-self)
-
     def __mul__(self, other):
-        other = _coerce_trace(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         r: dict[tuple[int, int, int], int] = {}
@@ -422,24 +422,6 @@ class TracePoly:
         return TracePoly._wrap(r)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return _power(self, n, TracePoly.constant(1))
-
-    def __eq__(self, other):
-        other = _coerce_trace(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def degree_in(self, axis: int) -> int:
         """Largest exponent of x (axis 0), y (1) or z (2); 0 for the zero poly."""
@@ -494,14 +476,6 @@ def _integer(c) -> int:
             raise ValueError(f"TracePoly coefficients are integers, got {c}")
         return c.numerator
     return operator.index(c)
-
-
-def _coerce_trace(v):
-    if isinstance(v, TracePoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return TracePoly.constant(v)
-    return NotImplemented
 
 
 @lru_cache(maxsize=None)

@@ -250,7 +250,7 @@ def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
         pair = pairs[int(rng.integers(len(pairs)))]
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         reps.append(numeric_rep(pair, z, cfg))
-        comps.append(Component("irreducible", cfg, pair))
+        comps.append(Component(cfg, pair))
         zs.append(z)
     wants = trace_values(max_ij, [c.x_const for c in comps],
                          [c.y_const for c in comps], zs)

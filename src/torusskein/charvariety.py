@@ -43,16 +43,21 @@ class AdmissiblePair:
 
 @dataclass(frozen=True)
 class Component:
-    """One line of the character variety.
+    """One line of the character variety: the abelian line when ``pair`` is
+    None, otherwise the irreducible line of that admissible pair.
 
-    Irreducible components carry the constant traces of the two generators;
-    equality and ordering decisions use the integer labels only, never the
-    float approximations.
+    ``kind`` is read off ``pair``, so the two cannot disagree.  Irreducible
+    components carry the constant traces of the two generators; equality
+    and ordering decisions use the integer labels only, never the float
+    approximations.
     """
 
-    kind: str  # "abelian" or "irreducible"
     cfg: TorusKnotConfig
     pair: AdmissiblePair | None = None
+
+    @property
+    def kind(self) -> str:
+        return "abelian" if self.pair is None else "irreducible"
 
     @property
     def x_const(self) -> float:
@@ -68,9 +73,9 @@ class Component:
 
     def to_json(self) -> dict:
         if self.pair is None:
-            return {"kind": "abelian", "k": None, "l": None,
+            return {"kind": self.kind, "k": None, "l": None,
                     "x_c": None, "y_c": None}
-        return {"kind": "irreducible", "k": self.pair.k, "l": self.pair.l,
+        return {"kind": self.kind, "k": self.pair.k, "l": self.pair.l,
                 "x_c": self.x_const, "y_c": self.y_const}
 
 
@@ -86,8 +91,8 @@ def admissible_pairs(cfg: TorusKnotConfig) -> list[AdmissiblePair]:
 
 def components(cfg: TorusKnotConfig) -> list[Component]:
     """The abelian line followed by one component per admissible pair."""
-    out = [Component("abelian", cfg)]
-    out.extend(Component("irreducible", cfg, pair) for pair in admissible_pairs(cfg))
+    out = [Component(cfg)]
+    out.extend(Component(cfg, pair) for pair in admissible_pairs(cfg))
     return out
 
 
@@ -121,7 +126,7 @@ def degree(f: TracePoly, cfg: TorusKnotConfig) -> int:
     """Max z-degree of f restricted to the irreducible components (0 if none)."""
     best = 0
     for pair in admissible_pairs(cfg):
-        r = restrict_to_component(f, Component("irreducible", cfg, pair))
+        r = restrict_to_component(f, Component(cfg, pair))
         best = max(best, r.degree)
     return best
 
@@ -136,7 +141,7 @@ def leading_coeff_vector(f: TracePoly, d: int, cfg: TorusKnotConfig) -> list[flo
         raise ValueError("degree of f exceeds the requested grade")
     out = []
     for pair in admissible_pairs(cfg):
-        r = restrict_to_component(f, Component("irreducible", cfg, pair))
+        r = restrict_to_component(f, Component(cfg, pair))
         out.append(float(r[d]) if d <= r.degree else 0.0)
     return out
 
@@ -150,30 +155,6 @@ def abelian_meeting_points(pair: AdmissiblePair, cfg: TorusKnotConfig) -> tuple[
     a = math.pi * pair.k / cfg.q
     b = math.pi * pair.l / cfg.p
     return (2.0 * math.cos(a + b), 2.0 * math.cos(a - b))
-
-
-def abelian_parameter_witnesses(
-    pair: AdmissiblePair, cfg: TorusKnotConfig, tol: float = 1e-9
-) -> list[int]:
-    """Indices m of 2pq-th roots of unity t = exp(i*pi*m/(pq)) hitting the pair.
-
-    Returns the m in [0, 2pq) with x(t) = x_c and y(t) = y_c, one
-    representative per conjugate pair {t, 1/t}.
-    """
-    p, q = cfg.p, cfg.q
-    comp = Component("irreducible", cfg, pair)
-    hits = []
-    seen = set()
-    for m in range(2 * p * q):
-        partner = (-m) % (2 * p * q)
-        if partner in seen:
-            continue
-        xv = 2.0 * math.cos(math.pi * m * p / (p * q))
-        yv = 2.0 * math.cos(math.pi * m * q / (p * q))
-        if abs(xv - comp.x_const) < tol and abs(yv - comp.y_const) < tol:
-            hits.append(m)
-            seen.add(m)
-    return hits
 
 
 def knot_trace(cfg: TorusKnotConfig) -> TracePoly:

@@ -355,15 +355,6 @@ def _apply_cup(state, i):
     return (tuple(new), arcs, loops)
 
 
-def _apply_seam_cup(state):
-    """Birth of a pair straddling the seam: ends at the extreme positions."""
-    slots, arcs, loops = state
-    width = len(slots)
-    shifted = [("S", m + 1, w) if t == "S" else (t, m, w) for t, m, w in slots]
-    new = [("S", width + 1, 1)] + shifted + [("S", 0, -1)]
-    return (tuple(new), arcs, loops)
-
-
 def _apply_rot(state, sign):
     slots, arcs, loops = state
     width = len(slots)
@@ -388,7 +379,10 @@ def _apply_event(state, ev):
         _, i, sign = ev
         width = len(state[0])
         capped, f = _apply_cap(state, i)
-        turned = _apply_seam_cup(capped) if i == width - 1 else _apply_cup(capped, i)
+        if i == width - 1:  # a turnback across the seam: cup at the end, then rotate
+            turned = _apply_rot(_apply_cup(capped, width - 2), 1)
+        else:
+            turned = _apply_cup(capped, i)
         return [(state, sign, ONE), (turned, -sign, f)]
     if op == CUP:
         return [(_apply_cup(state, ev[1]), 0, ONE)]
@@ -447,18 +441,10 @@ def resolve(tangle: AnnularTangle, budget: int | None = None,
     if not tangle.is_closed():
         raise MalformedTangle(
             f"tangle leaves {tangle.final_width} strands unclosed")
-    out: dict[Multicurve, Laurent] = {}
     states = resolve_states(tangle, budget, start, drop_trivial_arcs=drop_trivial_arcs)
-    for (slots, arcs, loops), coeff in states.items():
-        assert not slots
-        mc = Multicurve(arcs, loops)
-        prev = out.get(mc)
-        s = coeff if prev is None else prev + coeff
-        if s:
-            out[mc] = s
-        else:
-            out.pop(mc, None)
-    return SkeinElement(tangle.endpoints, out)
+    # a closed state ((), arcs, loops) is exactly one multicurve
+    return SkeinElement(tangle.endpoints, {
+        Multicurve(arcs, loops): coeff for (_, arcs, loops), coeff in states.items()})
 
 
 def multicurve_tangle(mc: Multicurve) -> AnnularTangle:

@@ -8,8 +8,8 @@
    (2 - s x - t y + s t z) / ((1 - s x + s^2)(1 - t y + t^2)),
    whose denominators are the characteristic polynomials det(1 - s u) and
    det(1 - t v).  The numerator pairing (x with s, y with t) is the one
-   consistent with x = tr(u); the flipped pairing is kept available as a
-   deliberately wrong negative control.
+   consistent with x = tr(u); the tests build the flipped pairing
+   themselves, as a deliberately wrong negative control.
 3. :func:`numeric_rep` -- explicit 2x2 matrices for a representation on a
    chosen irreducible component, for float cross-checks.
 
@@ -127,20 +127,19 @@ def _second_kind(gen: TracePoly, n: int) -> list[TracePoly]:
 
 
 @lru_cache(maxsize=None)
-def series_table(max_i: int, max_j: int, pairing: str = "x-with-s") -> tuple:
+def series_table(max_i: int, max_j: int) -> tuple:
     """Power-series coefficients G[i][j] of the trace generating function.
 
     1/(1 - s x + s^2) expands to sum_i S_i(x) s^i with S_i the degree-i
     second-kind recursion polynomials, so the (i, j) coefficient is read off
-    as a finite combination of S_i(x) and S_j(y).  pairing="x-with-t"
-    instead expands the numerator 2 - t x - s y + s t z (a wrong convention,
-    kept for negative-control tests).  The table does not depend on the
-    knot, so it is cached; rows are tuples, so a cached table is immutable.
+    as a finite combination of S_i(x) and S_j(y).  Only the pairing of x
+    with s is built here; the flipped numerator 2 - t x - s y + s t z, a
+    wrong convention, lives in the tests as a negative control.  The table
+    does not depend on the knot, so it is cached; rows are tuples, so a
+    cached table is immutable.
     """
     if max_i > SERIES_MAX or max_j > SERIES_MAX:
         raise ValueError(f"series bounds are limited to {SERIES_MAX}")
-    if pairing not in ("x-with-s", "x-with-t"):
-        raise ValueError(f"unknown pairing {pairing!r}")
     sx = _second_kind(TracePoly.x(), max_i)
     sy = _second_kind(TracePoly.y(), max_j)
     zero = TracePoly()
@@ -149,23 +148,13 @@ def series_table(max_i: int, max_j: int, pairing: str = "x-with-s") -> tuple:
         return table[m] if m >= 0 else zero
 
     x, y, z = TracePoly.x(), TracePoly.y(), TracePoly.z()
-    out = []
-    for i in range(max_i + 1):
-        row = []
-        for j in range(max_j + 1):
-            if pairing == "x-with-s":
-                entry = (2 * S(sx, i) * S(sy, j)
-                         - x * S(sx, i - 1) * S(sy, j)
-                         - y * S(sx, i) * S(sy, j - 1)
-                         + z * S(sx, i - 1) * S(sy, j - 1))
-            else:
-                entry = (2 * S(sx, i) * S(sy, j)
-                         - x * S(sx, i) * S(sy, j - 1)
-                         - y * S(sx, i - 1) * S(sy, j)
-                         + z * S(sx, i - 1) * S(sy, j - 1))
-            row.append(entry)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(2 * S(sx, i) * S(sy, j)
+              - x * S(sx, i - 1) * S(sy, j)
+              - y * S(sx, i) * S(sy, j - 1)
+              + z * S(sx, i - 1) * S(sy, j - 1)
+              for j in range(max_j + 1))
+        for i in range(max_i + 1))
 
 
 def leading_z_coeff(i: int, j: int, pair: AdmissiblePair, cfg: TorusKnotConfig) -> float:
@@ -202,7 +191,7 @@ class NumericRep:
         if not (cmath.isfinite(self.z_param) and np.isfinite(self.U).all()
                 and np.isfinite(self.V).all()):
             raise ValueError("z or an entry of U or V is not finite")
-        comp = Component("irreducible", self.cfg, self.pair)
+        comp = Component(self.cfg, self.pair)
         if abs(np.linalg.det(self.U) - 1) > tol_det:
             raise ValueError("det U drifted from 1")
         if abs(np.linalg.det(self.V) - 1) > tol_det:

@@ -97,7 +97,7 @@ def test_criterion_2_trace_triple_agreement():
                 pair = pairs[int(rng.integers(len(pairs)))]
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 rep = numeric_rep(pair, z, cfg)
-                comp = Component("irreducible", cfg, pair)
+                comp = Component(cfg, pair)
                 upow = [np.eye(2, dtype=complex)]
                 vpow = [np.eye(2, dtype=complex)]
                 for _ in range(12):
@@ -120,7 +120,7 @@ def test_criterion_3_leading_coefficient_formula():
         for p, q in TRACE_CONFIGS:
             cfg = TorusKnotConfig(p, q)
             for pair in admissible_pairs(cfg):
-                comp = Component("irreducible", cfg, pair)
+                comp = Component(cfg, pair)
                 for i in range(1, 9):
                     for j in range(1, 9):
                         r = restrict_to_component(trace_word(i, j), comp)

@@ -182,3 +182,34 @@ def test_trace_poly_coefficients_are_integers():
         TracePoly({(1, 0, 0): Fraction(1, 2)})
     with pytest.raises(ValueError):
         TracePoly.constant(Fraction(7, 3))
+
+
+# -- the shared sparse core ---------------------------------------------------
+
+
+def assert_clean(f):
+    # ring results skip the validating constructor: every stored coefficient
+    # is a nonzero int, and rebuilding through the constructor changes nothing
+    assert all(type(c) is int and c for c in f.terms.values())
+    assert f.terms == type(f)(f.terms).terms
+
+
+@given(laurents(), laurents(), st.integers(0, 3), st.integers(-6, 6))
+def test_laurent_results_are_clean(f, g, n, e):
+    for r in (f + g, f - g, -f, f * g, f ** n, f.shift(e), f - f, 2 + f, 1 - f, 0 * f):
+        assert_clean(r)
+
+
+@given(trace_polys(), trace_polys(), st.integers(0, 3))
+def test_trace_poly_results_are_clean(f, g, n):
+    for r in (f + g, f - g, -f, f * g, f ** n, f - f, 2 + f, 1 - f, 0 * f):
+        assert_clean(r)
+
+
+def test_values_are_immutable():
+    for value in (Laurent.one(), TracePoly.x()):
+        name = type(value).__name__
+        with pytest.raises(AttributeError, match=name):
+            value.terms = {}
+        with pytest.raises(AttributeError, match=name):
+            value.extra = 1

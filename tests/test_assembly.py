@@ -1,10 +1,10 @@
 """Graded basis, sine matrix, and the verification report."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
+from conftest import flipped_series_table
 
 from torusskein.algebra import TracePoly
 from torusskein.charvariety import (
@@ -121,7 +121,7 @@ def test_knot_trace_two_expressions_agree():
         tp = chebyshev_in("y", cfg.p)
         fx = TracePoly({(i, 0, 0): c for i, c in enumerate(tq.coeffs) if c})
         fy = TracePoly({(0, i, 0): c for i, c in enumerate(tp.coeffs) if c})
-        for comp in [Component("irreducible", cfg, pr) for pr in admissible_pairs(cfg)]:
+        for comp in [Component(cfg, pr) for pr in admissible_pairs(cfg)]:
             rx = restrict_to_component(fx, comp)
             ry = restrict_to_component(fy, comp)
             assert rx.degree == ry.degree == 0
@@ -205,8 +205,7 @@ def test_verify_theorem_passes_trefoil():
 
 def test_verify_theorem_negative_control(monkeypatch):
     # a mis-paired generating-function numerator must break the triple agreement
-    monkeypatch.setattr(assembly, "series_table",
-                        functools.partial(series_table, pairing="x-with-t"))
+    monkeypatch.setattr(assembly, "series_table", flipped_series_table)
     report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
     failed = {c["name"] for c in report.checks if not c["pass"]}
     assert "trace-triple-agreement" in failed
@@ -227,7 +226,7 @@ def reference_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
         pair = pairs[int(rng.integers(len(pairs)))]
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         rep = numeric_rep(pair, z, cfg)
-        comp = Component("irreducible", cfg, pair)
+        comp = Component(cfg, pair)
         for i in range(max_ij + 1):
             for j in range(max_ij + 1):
                 want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)

@@ -1,5 +1,6 @@
 """Component structure, restriction, degree filtration, meeting points."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from torusskein.charvariety import (
     Component,
     TorusKnotConfig,
     abelian_meeting_points,
-    abelian_parameter_witnesses,
     abelian_parametrization,
     admissible_pairs,
     components,
@@ -64,6 +64,16 @@ def test_components_listing_and_json():
     assert abs(blob["x_c"] - 1.0) < 1e-12  # 2 cos(pi/3)
     assert abs(blob["y_c"]) < 1e-12        # 2 cos(pi/2)
     assert components(TorusKnotConfig(3, 4))[0].to_json()["kind"] == "abelian"
+
+
+def test_component_kind_follows_pair():
+    # the kind is read off the pair, never stored beside it
+    cfg = TorusKnotConfig(2, 3)
+    abelian, irreducible = Component(cfg), Component(cfg, AdmissiblePair(1, 1))
+    assert (abelian.kind, irreducible.kind) == ("abelian", "irreducible")
+    for comp in (abelian, irreducible):
+        assert comp.to_json()["kind"] == comp.kind
+    assert "kind" not in {f.name for f in dataclasses.fields(Component)}
 
 
 def test_abelian_parametrization_trefoil():
@@ -167,6 +177,22 @@ def test_meeting_points_symmetric_case():
             assert abs(zp + zm) < 1e-12
 
 
+def abelian_parameter_witnesses(pair, cfg, tol=1e-9):
+    # the 2pq-th-root search: indices m of t = exp(i*pi*m/(pq)) with
+    # x(t) = x_c and y(t) = y_c, one per conjugate pair {t, 1/t}
+    p, q = cfg.p, cfg.q
+    comp = Component(cfg, pair)
+    hits = []
+    for m in range(2 * p * q):
+        if (-m) % (2 * p * q) in hits:
+            continue
+        xv = 2.0 * math.cos(math.pi * m * p / (p * q))
+        yv = 2.0 * math.cos(math.pi * m * q / (p * q))
+        if abs(xv - comp.x_const) < tol and abs(yv - comp.y_const) < tol:
+            hits.append(m)
+    return hits
+
+
 def test_meeting_points_lie_on_abelian_curve():
     for cfg in coprime_configs(9):
         px, py, pz = abelian_parametrization(cfg)
@@ -180,7 +206,7 @@ def test_meeting_points_lie_on_abelian_curve():
             # and the full triple sits on the parametrized curve
             for m in ms:
                 s = 2 * math.cos(math.pi * m / (cfg.p * cfg.q))
-                comp = Component("irreducible", cfg, pair)
+                comp = Component(cfg, pair)
                 assert abs(float(px.evaluate(Fraction(0)) * 0 + px.evaluate(s)) - comp.x_const) < 1e-9
                 assert abs(py.evaluate(s) - comp.y_const) < 1e-9
 
@@ -190,6 +216,6 @@ def test_knot_trace_is_constant_on_components():
     for cfg in (TorusKnotConfig(2, 3), TorusKnotConfig(3, 5)):
         f = knot_trace(cfg)
         for pair in admissible_pairs(cfg):
-            r = restrict_to_component(f, Component("irreducible", cfg, pair))
+            r = restrict_to_component(f, Component(cfg, pair))
             assert r.degree == 0
             assert abs(r[0] - 2 * (-1) ** pair.k) < 1e-9

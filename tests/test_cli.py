@@ -169,6 +169,7 @@ def test_outputs_byte_identical(capsys):
     ("7", "12", "1", "bb5cacb3157253cacb05dcf8afc35296f436184f4c0353f90ac1dee1caf693d3"),
     ("5", "11", "1", "2287ecef773256c4515e10e66afc35808739525fa371db4e40588c6f679d8c52"),
     ("7", "8", "3", "4456a3262115363c4b7206584a12801ee809512dfb0cba3a86d5a0cc4ea284be"),
+    ("7", "8", "4", "b04be10d817f6909fe2c44b7cf2fa9804fdd591dd51d89f27389daf01326495b"),
 ])
 def test_verify_report_digest(capsys, p, q, max_k, digest):
     # the deterministic report is pinned byte for byte at the default seed

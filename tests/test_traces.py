@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import flipped_series_table
 
 from torusskein.algebra import TracePoly, chebyshev_in
 from torusskein.charvariety import (
@@ -101,7 +102,7 @@ def test_series_bound_guard():
 
 
 def test_flipped_pairing_disagrees():
-    bad = series_table(3, 3, pairing="x-with-t")
+    bad = flipped_series_table(3, 3)
     assert any(bad[i][j] != trace_word(i, j) for i in range(4) for j in range(4))
 
 
@@ -134,7 +135,7 @@ def test_numeric_rep_matches_trace_word():
     for pair in admissible_pairs(cfg):
         z = random_z()
         rep = numeric_rep(pair, z, cfg)
-        comp = Component("irreducible", cfg, pair)
+        comp = Component(cfg, pair)
         for i in range(0, 9):
             for j in range(0, 9):
                 want = complex(trace_word(i, j).evaluate(comp.x_const, comp.y_const, z))
@@ -145,7 +146,7 @@ def test_numeric_rep_matches_trace_word():
 def test_trace_values_equal_evaluate_exactly(cfg):
     # two complex z and one real z per pair, evaluated as one stack of the
     # complex samples and one of the real ones
-    comps = [Component("irreducible", cfg, pair) for pair in admissible_pairs(cfg)]
+    comps = [Component(cfg, pair) for pair in admissible_pairs(cfg)]
     draws = [(comp, (random_z(), random_z(), float(RNG.uniform(-2, 2)))) for comp in comps]
     stacks = ([(comp, z) for comp, zs in draws for z in zs[:2]],
               [(comp, zs[2]) for comp, zs in draws])
@@ -187,7 +188,7 @@ def test_leading_z_coeff_matches_restriction():
     from torusskein.charvariety import restrict_to_component
     for cfg in (TorusKnotConfig(2, 5), TorusKnotConfig(3, 4)):
         for pair in admissible_pairs(cfg):
-            comp = Component("irreducible", cfg, pair)
+            comp = Component(cfg, pair)
             for i in range(1, 6):
                 for j in range(1, 6):
                     r = restrict_to_component(trace_word(i, j), comp)
