@@ -116,7 +116,7 @@ class _Sparse:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return (-self).__add__(other)  # NotImplemented when other is no scalar
 
     def __pow__(self, n: int):
         return _power(self, n, self._coerce(1))
@@ -365,8 +365,8 @@ class TracePoly(_Sparse):
 
     Terms map exponent triples (i, j, k) for x^i y^j z^k to nonzero ints:
     every trace of a word in u and v lies in Z[x, y, z].  An integral
-    Fraction coefficient is stored as its numerator; a non-integral one
-    raises ValueError and is never truncated.
+    Fraction coefficient is stored as its numerator; a non-integral one is
+    never truncated (ValueError here, TypeError in arithmetic, == False).
     The canonical term order is graded lexicographic, which fixes both
     rendering and equality-of-string output across runs.
     """
@@ -386,7 +386,7 @@ class TracePoly(_Sparse):
     def _coerce(v):
         if isinstance(v, TracePoly):
             return v
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1:
             return TracePoly.constant(v)
         return NotImplemented
 

@@ -2,25 +2,22 @@
 
 Fix a slope p >= 1 (the framing curve of the marked points runs once around
 the meridian direction and p times around the core) and k >= 1.  The quotient
-kills every multicurve containing a winding-0 arc: any such multicurve
-contains an innermost trivial arc joining consecutive marked points, so this
-matches killing boundary-parallel arcs between consecutive points.  The
-survivors are the elements w^m -- k seam-crossing arcs in rainbow position
-plus m core loops -- and powers m >= p-1 reduce through w^n times one
-relation, the rotated null tangle.  The reduced coordinates live in the basis
-{w^0, ..., w^(p-2)}.  Core loops lie inside the rotation collar, so the
-rotation commutes with w: rotating n more core loops raises every loop count
-of the rotated state sum by n.
+kills every multicurve holding a winding-0 arc (each holds an innermost one,
+a boundary-parallel arc between consecutive points).  The survivors are the
+w^m -- k seam-crossing arcs in rainbow position plus m core loops -- and
+powers m >= p-1 reduce through w^n times one relation, the rotated null
+tangle, to the basis {w^0, ..., w^(p-2)}.  Core loops lie inside the
+rotation collar, so the rotation commutes with w.
 
-The rotation operator shifts every marked point one step along the framing
-curve, the last one passing the seam.  Its collar word sends one traveller
-strand p times backwards around the annulus (slope p; one trip along the
-framing curve), crossing each other strand once per full turn, plus one
-framing curl and a global power of A.  The crossing sign (+1), the curl
-count (one positive curl) and the A-power are fixed constants, validated by
-the rotation invariants (rot^(2k) = 1 on quotient coordinates,
-rot e_j = A^(u_j) e_(p-j) with u_(p-j) = -u_j), which pin them up to skein
-equivalence; see the tests.
+The rotation shifts every marked point one step along the framing curve, the
+last one passing the seam.  Its collar word is one positive framing curl and
+p backward turns of one traveller strand, crossing each other strand once per
+full turn (sign +1), times a global power of A; the rotation invariants
+(rot^(2k) = 1, rot e_j = A^(u_j) e_(p-j) with u_(p-j) = -u_j) pin these
+constants, see the tests.  The collar at slope p continues the collar at
+slope p-1, its prefix, and the basis tangle e(k, j) is the collar at slope j
+without its curl, on the null tangle: the basis reads the relations at
+slopes 1..p-1, and one collar sum per slope and width feeds every table.
 """
 
 from __future__ import annotations
@@ -100,9 +97,16 @@ def rotation_norm_exponent(slope: int, width: int) -> int:
 @lru_cache(maxsize=None)
 def collar_states(slope: int, width: int) -> MappingProxyType:
     """Final states of the collar word alone (read-only), the ``start`` of every
-    rotation, without the states holding a winding-0 arc (the quotient kills them)."""
-    word = AnnularTangle(width, rotation_slices(slope, width))
-    return MappingProxyType(resolve_states(word, drop_trivial_arcs=True))
+    rotation, without the states holding a winding-0 arc (the quotient kills them).
+    The sum continues the collar one turn shorter, a prefix of the word, so the
+    state budget trips at the slice and count of the sum from scratch."""
+    word, start, done = rotation_slices(slope, width), None, 0
+    if slope > 1:
+        for s in range(1, slope - 1):  # fill the memo bottom-up, so recursion stays shallow
+            collar_states(s, width)
+        start, done = collar_states(slope - 1, width), len(rotation_slices(slope - 1, width))
+    rest = AnnularTangle(width, word[done:])
+    return MappingProxyType(resolve_states(rest, start=start, drop_trivial_arcs=True))
 
 
 def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
@@ -149,16 +153,13 @@ def null_tangle(k: int, n: int) -> AnnularTangle:
 def basis_tangle(k: int, j: int, slope: int) -> AnnularTangle:
     """Basis tangle e(k, j): a j-times-winding exterior strand on the outer
     pair of marked points, around a (k-1)-strand once-winding cable on the
-    middle ones.  Requires 1 <= j <= slope-1 (and j >= 1 for any slope)."""
+    middle ones; the null tangle after j turns, the slope-j collar without its
+    curl.  Requires 1 <= j <= slope-1 (and j >= 1 for any slope)."""
     if k < 1:
         raise ValueError("need k >= 1")
     if not 1 <= j <= max(slope - 1, 1):
         raise ValueError(f"index j={j} out of range for slope {slope}")
-    width = 2 * k
-    word = list(turn_slices(j, width))
-    word.append(cap(width - 2))
-    word.extend(cap(w - 1) for w in range(width - 2, 0, -2))
-    return AnnularTangle(width, tuple(word))
+    return AnnularTangle(2 * k, turn_slices(j, 2 * k) + null_tangle(k, 0).slices)
 
 
 def framing_curve_tangle(slope: int) -> AnnularTangle:
@@ -285,11 +286,6 @@ def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> list[Laurent]:
     return _reduce_winding(winding_part(el, k), slope, k)
 
 
-def tangle_coordinates(tangle: AnnularTangle, slope: int, k: int) -> list[Laurent]:
-    """Quotient coordinates of a closed tangle; its state sum drops trivial arcs."""
-    return quotient_coordinates(resolve(tangle, drop_trivial_arcs=True), slope, k)
-
-
 # ---------------------------------------------------------------------------
 # the rotation as a matrix on quotient coordinates
 # ---------------------------------------------------------------------------
@@ -359,11 +355,13 @@ def unit_ratio(vec_a: list[Laurent], vec_b: list[Laurent]) -> Laurent:
 
 @lru_cache(maxsize=None)
 def basis_coordinates(slope: int, k: int) -> tuple:
-    """Quotient coordinates of the raw basis tangles e(k, j), j = 1..slope-1."""
+    """Quotient coordinates of the raw basis tangles e(k, j), j = 1..slope-1: the
+    relation at slope j times -A^-(3 + rotation_norm_exponent(j, 2k)), undoing the
+    curl and normalization; of degree j-1 < slope-1, it needs no reduction."""
     return tuple(
-        tuple(tangle_coordinates(basis_tangle(k, j, slope), slope, k))
-        for j in range(1, slope)
-    )
+        tuple(c * -Laurent.A(-3 - rotation_norm_exponent(j, 2 * k))
+              for c in reduction_relation(j, k)) + (Laurent.zero(),) * (slope - 1 - j)
+        for j in range(1, slope))
 
 
 @lru_cache(maxsize=None)

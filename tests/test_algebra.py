@@ -184,6 +184,19 @@ def test_trace_poly_coefficients_are_integers():
         TracePoly.constant(Fraction(7, 3))
 
 
+def test_trace_poly_compares_with_non_integral_fraction():
+    # a non-integral Fraction is no TracePoly: equality answers False and
+    # arithmetic raises TypeError, never a truncation
+    half = Fraction(1, 2)
+    assert not TracePoly.x() == half
+    assert TracePoly.x() != half
+    assert TracePoly.constant(3) == Fraction(3)
+    for op in (lambda: TracePoly.x() + half, lambda: half * TracePoly.x(),
+               lambda: TracePoly.x() - half, lambda: half - TracePoly.x()):
+        with pytest.raises(TypeError, match="Fraction' and 'TracePoly'|TracePoly' and 'Fraction"):
+            op()
+
+
 # -- the shared sparse core ---------------------------------------------------
 
 

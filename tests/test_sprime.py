@@ -34,7 +34,6 @@ from torusskein.sprime import (
     rotation_exponents,
     rotation_matrix,
     rotation_norm_exponent,
-    tangle_coordinates,
     winding_part,
 )
 
@@ -81,23 +80,24 @@ def test_closed_basis_elements():
 def test_power_tangle_coordinates():
     for slope, k in GRID:
         for m in range(slope - 1):
-            coords = tangle_coordinates(power_tangle(k, m), slope, k)
+            coords = quotient_coordinates(
+                resolve(power_tangle(k, m), drop_trivial_arcs=True), slope, k)
             want = [ONE if i == m else ZERO for i in range(slope - 1)]
             assert coords == want
 
 
 def test_trivial_arc_elements_vanish():
     for k in (1, 2, 3):
-        coords = tangle_coordinates(null_tangle(k, 2), 3, k)
+        coords = quotient_coordinates(resolve(null_tangle(k, 2), drop_trivial_arcs=True), 3, k)
         assert all(c == ZERO for c in coords)
 
 
 def test_reduction_of_top_power():
     # slope 2: every positive loop power rewrites to zero
-    coords = tangle_coordinates(power_tangle(1, 1), 2, 1)
+    coords = quotient_coordinates(resolve(power_tangle(1, 1), drop_trivial_arcs=True), 2, 1)
     assert coords == [ZERO]
     # slope 3: the first reducible power rewrites to a unit multiple of w^0
-    coords = tangle_coordinates(power_tangle(1, 2), 3, 1)
+    coords = quotient_coordinates(resolve(power_tangle(1, 2), drop_trivial_arcs=True), 3, 1)
     assert coords[0].unit_parts() is not None or coords[0] == ZERO
     rel = _rotated_null_relation(3, 1, 0)
     want = [rel[0] * rel[2].unit_inverse() * Laurent({0: -1}), ZERO]
@@ -126,13 +126,19 @@ def test_relation_degrees_and_units():
                 assert want == [ZERO] * n + list(rel), (slope, k, n)
 
 
-def test_relation_closed_form():
-    # the relation is -A^(2k) S_(slope-1)(w), S the Chebyshev polynomial of
-    # the second kind: S_0 = 1, S_1 = w, S_(m+1) = w S_m - S_(m-1)
+def _second_kind(n):
+    """[S_0, ..., S_(n-1)] as coefficient lists, S the Chebyshev polynomial of
+    the second kind: S_0 = 1, S_1 = w, S_(m+1) = w S_m - S_(m-1)."""
     cheb = [[1], [0, 1]]
-    while len(cheb) < 8:
+    while len(cheb) < n:
         up = [0] + cheb[-1]
         cheb.append([a - b for a, b in zip(up, cheb[-2] + [0, 0])])
+    return cheb[:n]
+
+
+def test_relation_closed_form():
+    # the relation is -A^(2k) S_(slope-1)(w)
+    cheb = _second_kind(8)
     for slope in range(2, 9):
         for k in (1, 2, 3):
             want = tuple(-A(2 * k) * c for c in cheb[slope - 1])
@@ -225,6 +231,18 @@ def test_collar_keeps_only_states_without_trivial_arcs():
     assert dict(sprime.collar_states(5, 6)) == want
 
 
+def test_collar_continues_shorter_collar():
+    # each collar continues the one a turn shorter, filled from below even
+    # when the slopes are asked for from the top down, and equals the pruned
+    # sum over its whole word
+    for width in (2, 4, 6):
+        sprime.collar_states.cache_clear()
+        for slope in range(8, 0, -1):
+            whole = AnnularTangle(width, sprime.rotation_slices(slope, width))
+            want = resolve_states(whole, drop_trivial_arcs=True)
+            assert dict(sprime.collar_states(slope, width)) == want, (slope, width)
+
+
 def _peak_live_states(word):
     """The most live states after any slice of the word's pruned state sum."""
     peak, states, width = 0, None, word.endpoints
@@ -286,6 +304,23 @@ def test_first_basis_tangle_is_rainbow():
         assert mc.loops == 0
 
 
+def test_basis_coordinates_match_basis_tangles():
+    # the basis read off the relations equals the quotient coordinates of
+    # each basis tangle's own full (unpruned) state sum, and the closed form
+    # e(k, j) = A^(1-j) S_(j-1)(w)
+    cheb = _second_kind(6)
+    for slope in range(2, 8):
+        for k in (1, 2, 3):
+            if (slope, k) == (7, 3):
+                continue
+            coords = basis_coordinates(slope, k)
+            for j in range(1, slope):
+                want = quotient_coordinates(resolve(basis_tangle(k, j, slope)), slope, k)
+                assert list(coords[j - 1]) == want, (slope, k, j)
+                closed = [A(1 - j) * c for c in cheb[j - 1]] + [0] * (slope - 1 - j)
+                assert list(coords[j - 1]) == closed, (slope, k, j)
+
+
 def test_basis_triangular_with_unit_diagonal():
     for slope, k in GRID:
         coords = basis_coordinates(slope, k)
@@ -334,8 +369,12 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     for fn in caches:
         fn.cache_clear()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
-    for fn in (sprime.rotation_matrix, sprime.basis_coordinates,
-               sprime.reduction_relation, sprime.rotation_exponents):
+    for fn in (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents):
         assert fn.cache_info().currsize == 4, fn.__name__  # {2, 3} x {1, 2}
-    # one collar per slope and width: {2, 3} x {2, 4}
-    assert sprime.collar_states.cache_info().currsize == 4
+    # the basis reads the relation at every slope below its own, and each
+    # collar continues the one a turn shorter: {1, 2, 3} x {1, 2} relations
+    # and {1, 2, 3} x {2, 4} collars
+    assert sprime.reduction_relation.cache_info().currsize == 6
+    assert sprime.collar_states.cache_info().currsize == 6
+    for fn in caches:
+        assert fn.cache_info().misses == fn.cache_info().currsize, fn.__name__
