@@ -14,12 +14,11 @@ import sys
 from torusskein.sprime import (
     collar_states,
     identity_matrix,
-    matrix_power,
     power_tangle,
     rotate,
     rotation_exponents,
-    rotation_matrix,
     rotation_norm_exponent,
+    rotation_power,
 )
 
 
@@ -31,8 +30,7 @@ def main() -> int:
     for slope in range(2, max_slope + 1):
         for k in range(1, max_k + 1):
             collar = rotate(power_tangle(k, 0), slope)
-            cols = rotation_matrix(slope, k)
-            ok = matrix_power(cols, 2 * k) == identity_matrix(slope - 1)
+            ok = rotation_power(slope, k) == identity_matrix(slope - 1)
             expo = rotation_exponents(slope, k)
             norm = rotation_norm_exponent(slope, 2 * k)
             states = len(collar_states(slope, 2 * k))

@@ -34,15 +34,15 @@ from .charvariety import (
 )
 from .skein import BudgetError
 from .sprime import (
-    apply_matrix,
     basis_coordinates,
     identity_matrix,
-    matrix_power,
+    normalization_shifts,
     normalized_basis_coordinates,
+    rotated_basis,
     rotation_exponents,
-    rotation_matrix,
+    rotation_power,
 )
-from .traces import numeric_rep, numeric_traces, series_table, trace_values, trace_word
+from .traces import numeric_stack, numeric_traces, series_table, trace_values, trace_word
 
 DEFAULT_SEED = 20259
 
@@ -128,20 +128,18 @@ def sine_matrix(cfg: TorusKnotConfig, k: int = 1) -> np.ndarray:
     """Matrix of symmetrized sine products, orbits by admissible pairs.
 
     Entry (orbit, pair) sums sin(j1*k*pi/q) * sin(j2*l*pi/p) over the two
-    orbit representatives; the matrix does not depend on the grade k.
+    orbit representatives; the matrix does not depend on the grade k.  Each
+    sine is read from a table of math.sin(m * math.pi / n) by the integer
+    m = j1*k (or j2*l), the argument the per-entry expression rounds.
     """
-    orbits = degk_orbits(cfg, k)
-    pairs = admissible_pairs(cfg)
-    out = np.zeros((len(orbits), len(pairs)))
-    for r, orb in enumerate(orbits):
-        reps = [(orb.j1, orb.j2), orbit_partner(orb, cfg)]
-        for c, pair in enumerate(pairs):
-            out[r, c] = sum(
-                math.sin(j1 * pair.k * math.pi / cfg.q)
-                * math.sin(j2 * pair.l * math.pi / cfg.p)
-                for j1, j2 in reps
-            )
-    return out
+    # [orbit, representative, axis]: the two winding pairs of each orbit
+    js = np.array([[(o.j1, o.j2), orbit_partner(o, cfg)] for o in degk_orbits(cfg, k)])
+    ks, ls = np.array([(pair.k, pair.l) for pair in admissible_pairs(cfg)]).T
+    sin_q, sin_p = (np.array([math.sin(m * math.pi / n) for m in range((n - 1) ** 2 + 1)])
+                    for n in (cfg.q, cfg.p))
+    prods = sin_q[js[..., :1] * ks] * sin_p[js[..., 1:] * ls]
+    # sum() over the two representatives starts from 0
+    return 0.0 + prods[:, 0] + prods[:, 1]
 
 
 def scaled_abs_det(m: np.ndarray) -> float:
@@ -245,31 +243,31 @@ def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
                 return False, {"mismatch": {"i": i, "j": j, "route": "series"}}
     rng = np.random.default_rng(seed)
     pairs = admissible_pairs(cfg)
-    comps, zs, reps = [], [], []
+    picks, zs = [], []
     for _ in range(samples):
-        pair = pairs[int(rng.integers(len(pairs)))]
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        reps.append(numeric_rep(pair, z, cfg))
-        comps.append(Component(cfg, pair))
-        zs.append(z)
+        picks.append(pairs[int(rng.integers(len(pairs)))])
+        zs.append(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    us, vs = numeric_stack(picks, zs, cfg)
+    comps = [Component(cfg, pair) for pair in picks]
     wants = trace_values(max_ij, [c.x_const for c in comps],
                          [c.y_const for c in comps], zs)
-    diff = wants - numeric_traces(reps, max_ij, max_ij)
+    diff = wants - numeric_traces(us, vs, max_ij, max_ij)
     # np.hypot is what abs() of a Python complex computes; np.abs may differ
     errors = np.hypot(diff.real, diff.imag).reshape(samples, -1).max(axis=1)
     worst = 0.0
-    for error in errors.tolist():  # the running worst, sample by sample
+    for sample, error in enumerate(errors.tolist()):  # the running worst
+        if not math.isfinite(error):  # max() would skip a NaN
+            return False, {"sample": sample, "error": repr(error), "tol": tol}
         worst = max(worst, error)
         if worst > tol:
             return False, {"worst_error": worst, "tol": tol}
-    return worst <= tol, {"worst_error": worst, "tol": tol,
-                          "samples": samples, "max_ij": max_ij}
+    return True, {"worst_error": worst, "tol": tol,
+                  "samples": samples, "max_ij": max_ij}
 
 
 def _check_rotation_order(slope, max_k):
     for k in range(1, max_k + 1):
-        cols = rotation_matrix(slope, k)
-        if matrix_power(cols, 2 * k) != identity_matrix(slope - 1):
+        if rotation_power(slope, k) != identity_matrix(slope - 1):
             return False, {"slope": slope, "k": k}
     return True, {"slope": slope, "k_range": max_k}
 
@@ -299,10 +297,11 @@ def _check_rotation_exponents(slope, max_k):
 
 def _check_normalized_rotation(slope, max_k):
     for k in range(1, max_k + 1):
-        cols = rotation_matrix(slope, k)
         norm = normalized_basis_coordinates(slope, k)
-        for j in range(1, slope):
-            if apply_matrix(cols, norm[j - 1]) != norm[slope - j - 1]:
+        # the rotation is linear: it sends A^(n_j) e_j to A^(n_j) rotate(e_j)
+        images = zip(rotated_basis(slope, k), normalization_shifts(slope, k))
+        for j, (image, n) in enumerate(images, start=1):
+            if [c.shift(n) for c in image] != norm[slope - j - 1]:
                 return False, {"slope": slope, "k": k, "j": j}
     return True, {"slope": slope, "k_range": max_k}
 

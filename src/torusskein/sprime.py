@@ -324,15 +324,22 @@ def identity_matrix(dim: int):
                        for i in range(dim)) for m in range(dim))
 
 
+def _compose(a, b):
+    """Columns of the product a b."""
+    return tuple(tuple(apply_matrix(a, list(col))) for col in b)
+
+
 def matrix_power(cols, n: int):
-    result = identity_matrix(len(cols))
-    base = cols
+    """cols^n by square-and-multiply: no product by the identity, and no
+    square past the last bit."""
+    result = None
     while n:
         if n & 1:
-            result = tuple(tuple(apply_matrix(base, list(col))) for col in result)
-        base = tuple(tuple(apply_matrix(base, list(col))) for col in base)
+            result = cols if result is None else _compose(cols, result)
         n >>= 1
-    return result
+        if n:
+            cols = _compose(cols, cols)
+    return identity_matrix(len(cols)) if result is None else result
 
 
 def unit_ratio(vec_a: list[Laurent], vec_b: list[Laurent]) -> Laurent:
@@ -365,19 +372,31 @@ def basis_coordinates(slope: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def rotation_power(slope: int, k: int) -> tuple:
+    """Columns of R^(2k), R = rotation_matrix(slope, k); the rotation has
+    order dividing 2k on the quotient exactly when this is the identity."""
+    return matrix_power(rotation_matrix(slope, k), 2 * k)
+
+
+@lru_cache(maxsize=None)
+def rotated_basis(slope: int, k: int) -> tuple:
+    """Quotient coordinates of rotate(e_j), j = 1..slope-1: R applied to the
+    rows of basis_coordinates(slope, k)."""
+    cols = rotation_matrix(slope, k)
+    return tuple(tuple(apply_matrix(cols, list(e))) for e in basis_coordinates(slope, k))
+
+
+@lru_cache(maxsize=None)
 def rotation_exponents(slope: int, k: int) -> tuple:
     """Exponents u_j with rotate(e_j) = A^(u_j) e_(slope-j), j = 1..slope-1.
 
     Raises if the proportionality unit carries a minus sign, which would
     contradict the braid-normalization argument behind the basis.
     """
-    cols = rotation_matrix(slope, k)
     coords = basis_coordinates(slope, k)
     out = []
-    for j in range(1, slope):
-        image = apply_matrix(cols, list(coords[j - 1]))
-        target = list(coords[slope - j - 1])
-        unit = unit_ratio(image, target)
+    for j, image in enumerate(rotated_basis(slope, k), start=1):
+        unit = unit_ratio(image, coords[slope - j - 1])
         sign, e = unit.unit_parts()
         if sign != 1:
             raise QuotientError(
@@ -387,12 +406,13 @@ def rotation_exponents(slope: int, k: int) -> tuple:
     return tuple(out)
 
 
+def normalization_shifts(slope: int, k: int) -> list[int]:
+    """n_j with normalized e_j = A^(n_j) e_j: -u_j when 2j > slope, else 0."""
+    expo = rotation_exponents(slope, k)
+    return [-expo[j - 1] if 2 * j > slope else 0 for j in range(1, slope)]
+
+
 def normalized_basis_coordinates(slope: int, k: int) -> list[list[Laurent]]:
     """Basis coordinates rescaled so rotate(e_j) = e_(slope-j) exactly."""
-    coords = [list(c) for c in basis_coordinates(slope, k)]
-    expo = rotation_exponents(slope, k)
-    for j in range(1, slope):
-        if 2 * j > slope:
-            u = Laurent.A(-expo[j - 1])
-            coords[j - 1] = [c * u for c in coords[j - 1]]
-    return coords
+    return [[c.shift(n) for c in e]
+            for e, n in zip(basis_coordinates(slope, k), normalization_shifts(slope, k))]

@@ -10,17 +10,21 @@
    det(1 - t v).  The numerator pairing (x with s, y with t) is the one
    consistent with x = tr(u); the tests build the flipped pairing
    themselves, as a deliberately wrong negative control.
-3. :func:`numeric_rep` -- explicit 2x2 matrices for a representation on a
-   chosen irreducible component, for float cross-checks.
+3. :func:`numeric_stack` -- explicit 2x2 matrices for representations on
+   chosen irreducible components, one per sample, for float cross-checks;
+   :func:`numeric_rep` is a stack of one.
 
 :func:`trace_values` and :func:`numeric_traces` evaluate a whole (i, j)
-table of routes 1 and 3 at a stack of samples in one batch: the powers of
-x, y, z (or of U and V) are taken once per sample, and each value is
-bit-for-bit the one the per-entry :meth:`TracePoly.evaluate` or
-:meth:`NumericRep.trace` gives.  The exact polynomials have int
-coefficients, so routes 1 and 2 run in integer arithmetic.
+table of routes 1 and 3 at a stack of samples in one batch.  The exact
+route multiplies each term of every word once and adds each word's terms
+in order; the numeric route takes the powers of U and V for all samples
+in one matrix_power call per exponent and forms only the diagonal of
+each product U^i V^j.  Each value is bit-for-bit the one the per-entry
+:meth:`TracePoly.evaluate` or :meth:`NumericRep.trace` gives.  The exact
+polynomials have int coefficients, so routes 1 and 2 run in integer
+arithmetic.
 
-The lru_cache memos behind trace_word, series_table and _term_columns
+The lru_cache memos behind trace_word, series_table and _term_layout
 (the words' terms laid out for the batch) are the only shared state in
 this module; the results do not depend on evaluation order.
 """
@@ -78,24 +82,24 @@ def trace_word(i: int, j: int) -> TracePoly:
 
 
 @lru_cache(maxsize=None)
-def _term_columns(max_ij: int) -> tuple:
-    """The terms of every trace_word(i, j), i, j <= max_ij, as columns.
+def _term_layout(max_ij: int) -> tuple:
+    """The terms of every trace_word(i, j), i, j <= max_ij, laid out flat.
 
-    Returns (c, a, b, e), each of shape (terms, words) with word
-    i*(max_ij+1) + j: row t holds each word's t-th term in its term order,
-    as float(c) (what ``c * float`` computes inside TracePoly.evaluate) and
-    the exponents of x, y, z.  A word with fewer terms is padded with
-    0.0 * x^0 y^0 z^0, which leaves a sum that started from +0 unchanged.
+    Returns (c, a, b, e, counts, order).  The words are ranked by term
+    count, longest first; c holds each term as float(c) (what ``c * float``
+    computes inside TracePoly.evaluate) and a, b, e its exponents of x, y,
+    z, with term t of every word before term t+1 of any.  counts[t] is the
+    number of words with more than t terms, a prefix of the ranking, and
+    order[w] the rank of word i*(max_ij+1) + j.
     """
     n = max_ij + 1
     words = [list(trace_word(i, j).terms.items()) for i in range(n) for j in range(n)]
-    coeffs = np.zeros((max(map(len, words)), len(words)))
-    expos = np.zeros((3,) + coeffs.shape, dtype=np.intp)
-    for w, terms in enumerate(words):
-        for t, (key, c) in enumerate(terms):
-            coeffs[t, w] = float(c)
-            expos[:, t, w] = key
-    return (coeffs, *expos)
+    ranked = sorted(range(len(words)), key=lambda w: -len(words[w]))
+    counts = [sum(len(terms) > t for terms in words) for t in range(len(words[ranked[0]]))]
+    flat = [words[w][t] for t, m in enumerate(counts) for w in ranked[:m]]
+    coeffs = np.array([float(c) for _, c in flat])
+    expos = np.array([key for key, _ in flat], dtype=np.intp).reshape(-1, 3).T
+    return (coeffs, *expos, tuple(counts), np.argsort(ranked))
 
 
 def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
@@ -103,17 +107,28 @@ def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
 
     Entry [s, i, j] is trace_word(i, j).evaluate(xs[s], ys[s], zs[s]) bit
     for bit, for float xs and ys and for zs all float or all complex: each
-    power is taken with ``**``, each term multiplied as c*x^a*y^b*z^e, and
-    each word's terms added in its term order from +0, one term column at a
-    time over all samples (np.sum would add pairwise, in another order).
+    power is taken with ``**``, every term multiplied once as
+    c*x^a*y^b*z^e, and each word's terms added in its term order from +0,
+    one term position at a time over all samples (np.sum would add
+    pairwise, in another order).
     """
     n = max_ij + 1
     xp, yp, zp = (np.array([[v ** m for m in range(n)] for v in vs])
                   for vs in (xs, ys, zs))
+    c, a, b, e, counts, order = _term_layout(max_ij)
+    # the real part c*x^a*y^b of every term, in place: each product
+    # commutes, so it rounds as left to right, and at most two (S, terms)
+    # float arrays are live; z^e joins one term position at a time
+    real = xp[:, a]
+    real *= c
+    real *= yp[:, b]
     acc = np.zeros((len(zp), n * n), dtype=zp.dtype)
-    for c, a, b, e in zip(*_term_columns(max_ij)):
-        acc = acc + c * xp[:, a] * yp[:, b] * zp[:, e]
-    return acc.reshape(-1, n, n)
+    start = 0
+    for m in counts:
+        t = slice(start, start + m)
+        acc[:, :m] += real[:, t] * zp[:, e[t]]
+        start += m
+    return acc[:, order].reshape(-1, n, n)
 
 
 def _second_kind(gen: TracePoly, n: int) -> list[TracePoly]:
@@ -170,6 +185,29 @@ def leading_z_coeff(i: int, j: int, pair: AdmissiblePair, cfg: TorusKnotConfig) 
     return (math.sin(i * a) * math.sin(j * b)) / (math.sin(a) * math.sin(b))
 
 
+def validate_stack(us, vs, pairs, zs, cfg, tol_det: float = 1e-12,
+                   tol_trace: float = 1e-9) -> None:
+    """Raise ValueError unless every sample of the stack is a representation
+    on its pair's component with tr UV = z."""
+    zs = np.asarray(zs, dtype=complex)
+    # every test below is ``> tol``, which NaN would pass
+    if not (np.isfinite(zs).all() and np.isfinite(us).all() and np.isfinite(vs).all()):
+        raise ValueError("z or an entry of U or V is not finite")
+    comps = [Component(cfg, pair) for pair in pairs]
+    tests = (
+        (np.linalg.det(us), 1, tol_det, "det U drifted from 1"),
+        (np.linalg.det(vs), 1, tol_det, "det V drifted from 1"),
+        (np.trace(us, axis1=1, axis2=2), [c.x_const for c in comps], tol_trace,
+         "tr U is off the component"),
+        (np.trace(vs, axis1=1, axis2=2), [c.y_const for c in comps], tol_trace,
+         "tr V is off the component"),
+        (np.trace(us @ vs, axis1=1, axis2=2), zs, tol_trace, "tr UV missed the requested z"),
+    )
+    for got, want, tol, message in tests:
+        if (np.abs(got - want) > tol).any():
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class NumericRep:
     """A numeric SL2 representation pinned to one irreducible component."""
@@ -187,21 +225,8 @@ class NumericRep:
         return complex(np.trace(self.word(i, j)))
 
     def validate(self, tol_det: float = 1e-12, tol_trace: float = 1e-9) -> None:
-        # every test below is ``> tol``, which NaN would pass
-        if not (cmath.isfinite(self.z_param) and np.isfinite(self.U).all()
-                and np.isfinite(self.V).all()):
-            raise ValueError("z or an entry of U or V is not finite")
-        comp = Component(self.cfg, self.pair)
-        if abs(np.linalg.det(self.U) - 1) > tol_det:
-            raise ValueError("det U drifted from 1")
-        if abs(np.linalg.det(self.V) - 1) > tol_det:
-            raise ValueError("det V drifted from 1")
-        if abs(np.trace(self.U) - comp.x_const) > tol_trace:
-            raise ValueError("tr U is off the component")
-        if abs(np.trace(self.V) - comp.y_const) > tol_trace:
-            raise ValueError("tr V is off the component")
-        if abs(np.trace(self.U @ self.V) - self.z_param) > tol_trace:
-            raise ValueError("tr UV missed the requested z")
+        validate_stack(self.U[None], self.V[None], [self.pair], [self.z_param], self.cfg,
+                       tol_det, tol_trace)
 
     def relation_defects(self) -> tuple[float, float]:
         """Operator-norm distances of U^q and V^p from (-1)^k Id, (-1)^l Id."""
@@ -211,42 +236,55 @@ class NumericRep:
         return (float(np.linalg.norm(uq, 2)), float(np.linalg.norm(vp, 2)))
 
 
-def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) -> NumericRep:
-    """Matrices U, V with tr U = x_c, tr V = y_c, tr UV = z_param.
+def numeric_stack(pairs, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices U, V with tr U = x_c, tr V = y_c, tr UV = z for each sample
+    (pair, z), stacked to shape (S, 2, 2) and validated in one pass.
 
     U is diagonal with eigenvalues exp(+-i k pi / q).  V = [[a, 1], [ad-1, d]]
     has the prescribed trace and determinant 1; a is solved from the linear
-    system tr V = y_c, tr UV = z_param, which is nonsingular because the
-    eigenvalues of U are distinct.  The construction succeeds for every
-    z_param; exactly at the two abelian meeting z-values the pair becomes
-    reducible (V turns triangular) but the matrices remain valid.
+    system tr V = y_c, tr UV = z, which is nonsingular because the
+    eigenvalues of U are distinct.  The construction succeeds for every z;
+    exactly at the two abelian meeting z-values the pair becomes reducible
+    (V turns triangular) but the matrices remain valid.
     """
-    xi = cmath.exp(1j * math.pi * pair.k / cfg.q)
-    eta_sum = 2.0 * math.cos(math.pi * pair.l / cfg.p)
-    denom = xi - 1 / xi
-    if abs(denom) < 1e-15:
-        raise ValueError(f"degenerate eigenvalue data for pair {pair}")
-    a = (z_param - eta_sum / xi) / denom
-    d = eta_sum - a
-    U = np.array([[xi, 0.0], [0.0, 1 / xi]], dtype=complex)
-    V = np.array([[a, 1.0], [a * d - 1.0, d]], dtype=complex)
-    rep = NumericRep(U, V, pair, complex(z_param), cfg)
-    rep.validate()
-    return rep
+    us, vs = [], []
+    for pair, z in zip(pairs, zs):
+        xi = cmath.exp(1j * math.pi * pair.k / cfg.q)
+        eta_sum = 2.0 * math.cos(math.pi * pair.l / cfg.p)
+        denom = xi - 1 / xi
+        if abs(denom) < 1e-15:
+            raise ValueError(f"degenerate eigenvalue data for pair {pair}")
+        a = (z - eta_sum / xi) / denom
+        d = eta_sum - a
+        us.append([[xi, 0.0], [0.0, 1 / xi]])
+        vs.append([[a, 1.0], [a * d - 1.0, d]])
+    us = np.array(us, dtype=complex).reshape(-1, 2, 2)
+    vs = np.array(vs, dtype=complex).reshape(-1, 2, 2)
+    validate_stack(us, vs, pairs, zs, cfg)
+    return us, vs
 
 
-def numeric_traces(reps, max_i: int, max_j: int) -> np.ndarray:
-    """Traces of U^i V^j for a stack of reps, shape (S, max_i+1, max_j+1).
+def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) -> NumericRep:
+    """The representation of :func:`numeric_stack` for one sample."""
+    us, vs = numeric_stack([pair], [z_param], cfg)
+    return NumericRep(us[0], vs[0], pair, complex(z_param), cfg)
 
-    Entry [s, i, j] is reps[s].trace(i, j), bit for bit: each power of the
-    stacked U and V is taken once with matrix_power, as trace takes it, and
-    one broadcast ``@`` forms every product.
+
+def numeric_traces(us, vs, max_i: int, max_j: int) -> np.ndarray:
+    """Traces of U^i V^j for stacks of U and V, shape (S, max_i+1, max_j+1).
+
+    Entry [s, i, j] is the trace of NumericRep.word(i, j) of sample s, bit
+    for bit: each power of the stacked U and V together is taken with one
+    matrix_power call, as ``word`` takes it, and only the two diagonal
+    entries of each product are formed, each summed as ``@`` sums it.
     """
-    us = np.stack([rep.U for rep in reps])
-    vs = np.stack([rep.V for rep in reps])
-    up = np.stack([np.linalg.matrix_power(us, i) for i in range(max_i + 1)], axis=1)
-    vp = np.stack([np.linalg.matrix_power(vs, j) for j in range(max_j + 1)], axis=1)
-    m = up[:, :, None] @ vp[:, None]
+    both = np.concatenate([us, vs])
+    powers = np.stack([np.linalg.matrix_power(both, n)
+                       for n in range(max(max_i, max_j) + 1)], axis=1)
+    u = powers[:len(us), :max_i + 1, None]
+    v = powers[len(us):, None, :max_j + 1]
+    m00 = u[..., 0, 0] * v[..., 0, 0] + u[..., 0, 1] * v[..., 1, 0]
+    m11 = u[..., 1, 0] * v[..., 0, 1] + u[..., 1, 1] * v[..., 1, 1]
     # np.trace sums from +0.0, so it never returns a -0.0 part; "+ 0j"
     # does the same, and the rest of the sum is the same single addition
-    return m[..., 0, 0] + m[..., 1, 1] + 0j
+    return m00 + m11 + 0j

@@ -18,7 +18,8 @@ def state_budget(monkeypatch):
     """
     def lower(limit):
         for fn in (sprime.collar_states, sprime.rotation_matrix, sprime.basis_coordinates,
-                   sprime.reduction_relation, sprime.rotation_exponents):
+                   sprime.reduction_relation, sprime.rotation_exponents,
+                   sprime.rotation_power, sprime.rotated_basis):
             fn.cache_clear()
         monkeypatch.setattr(skein, "STATE_BUDGET", limit)
     return lower

@@ -1,5 +1,6 @@
 """Graded basis, sine matrix, and the verification report."""
 
+import json
 import math
 
 import numpy as np
@@ -168,6 +169,30 @@ def test_sine_matrix_matches_leading_coefficients():
         assert scaled_abs_det(lead) > 1e-8
 
 
+def reference_sine_matrix(cfg):
+    # the per-entry double loop the table-driven sine_matrix replaces, kept
+    # as its reference: one math.sin per factor of every entry
+    orbits = degk_orbits(cfg, 1)
+    pairs = admissible_pairs(cfg)
+    out = np.zeros((len(orbits), len(pairs)))
+    for r, orb in enumerate(orbits):
+        reps = [(orb.j1, orb.j2), orbit_partner(orb, cfg)]
+        for c, pair in enumerate(pairs):
+            out[r, c] = sum(
+                math.sin(j1 * pair.k * math.pi / cfg.q)
+                * math.sin(j2 * pair.l * math.pi / cfg.p)
+                for j1, j2 in reps
+            )
+    return out
+
+
+def test_sine_matrix_equals_per_entry_sines_bit_for_bit():
+    for cfg in coprime_configs(13):
+        got, want = sine_matrix(cfg), reference_sine_matrix(cfg)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), cfg
+
+
 def test_dst_invertible_up_to_twelve():
     for cfg in coprime_configs(12):
         ok, det, cond = verify_dst(cfg)
@@ -209,6 +234,26 @@ def test_verify_theorem_negative_control(monkeypatch):
     report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
     failed = {c["name"] for c in report.checks if not c["pass"]}
     assert "trace-triple-agreement" in failed
+
+
+def test_non_finite_trace_error_fails_with_json_safe_witness(monkeypatch):
+    # max(worst, nan) keeps worst, so a running maximum alone would let a
+    # NaN error through
+    numeric_traces = assembly.numeric_traces
+
+    def nan_traces(us, vs, max_i, max_j):
+        out = numeric_traces(us, vs, max_i, max_j)
+        out[2, 1, 1] = complex("nan")
+        return out
+
+    monkeypatch.setattr(assembly, "numeric_traces", nan_traces)
+    passed, witness = assembly._check_triple_agreement(TorusKnotConfig(2, 3), 7)
+    assert not passed
+    assert witness == {"sample": 2, "error": "nan", "tol": 1e-9}
+    report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
+    check, = [c for c in report.checks if c["name"] == "trace-triple-agreement"]
+    assert not check["pass"] and check["witness"]["sample"] == 2
+    json.loads(report.json_str(), parse_constant=pytest.fail)  # no NaN or Infinity
 
 
 def reference_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):

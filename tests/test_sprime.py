@@ -159,6 +159,56 @@ def test_rotation_order():
         assert matrix_power(cols, 2 * k) == identity_matrix(slope - 1), (slope, k)
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_matrix_power_squares_only_while_bits_remain(monkeypatch, n):
+    # square-and-multiply: bit_length - 1 squarings and popcount - 1
+    # products, one apply_matrix per column each; n = 6 takes both branches
+    cols = rotation_matrix(5, 2)
+    want = identity_matrix(len(cols))
+    for _ in range(n):
+        want = tuple(tuple(apply_matrix(cols, list(col))) for col in want)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_matrix(*args)
+
+    monkeypatch.setattr(sprime, "apply_matrix", counted)
+    assert matrix_power(cols, n) == want
+    products = max(n.bit_length() - 1, 0) + max(n.bit_count() - 1, 0)
+    assert len(calls) == products * len(cols), n
+
+
+@pytest.fixture
+def fresh_rotation_tables():
+    """Empty the rotation's caches before and after a test, so that tables
+    built from a patched rotation never outlive it."""
+    tables = (sprime.rotation_matrix, sprime.rotation_power, sprime.rotated_basis,
+              sprime.rotation_exponents)
+    for fn in tables:
+        fn.cache_clear()
+    yield
+    for fn in tables:
+        fn.cache_clear()
+
+
+def test_wrong_rotation_fails_the_checks_on_cached_tables(monkeypatch, fresh_rotation_tables):
+    # the caches hold tables, never verdicts: behind emptied caches, A times
+    # the rotation has (A R)^(2k) = A^(2k) and moves every exponent by one,
+    # so both checks that read the cached tables fail
+    rotation = sprime.rotation_matrix
+
+    def scaled(slope, k):
+        return tuple(tuple(c.shift(1) for c in col) for col in rotation(slope, k))
+
+    monkeypatch.setattr(sprime, "rotation_matrix", scaled)
+    report = verify_theorem(TorusKnotConfig(2, 3), max_k=2)
+    failed = {c["name"]: c["witness"] for c in report.failed}
+    for slope in (2, 3):
+        assert failed[f"rotation-order-slope{slope}"] == {"slope": slope, "k": 1}
+        assert failed[f"normalized-rotation-slope{slope}"]["j"] == 1
+
+
 def test_rotation_is_linear_on_elements():
     # rotating a resolved element termwise agrees with rotating the tangle
     slope, k = 3, 2
@@ -365,11 +415,12 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     # (slope, k) table is computed twice
     caches = (sprime.rotation_matrix, sprime.basis_coordinates,
               sprime.reduction_relation, sprime.rotation_exponents,
-              sprime.collar_states)
+              sprime.collar_states, sprime.rotation_power, sprime.rotated_basis)
     for fn in caches:
         fn.cache_clear()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
-    for fn in (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents):
+    for fn in (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
+               sprime.rotation_power, sprime.rotated_basis):
         assert fn.cache_info().currsize == 4, fn.__name__  # {2, 3} x {1, 2}
     # the basis reads the relation at every slope below its own, and each
     # collar continues the one a turn shorter: {1, 2, 3} x {1, 2} relations

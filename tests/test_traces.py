@@ -17,12 +17,15 @@ from torusskein.charvariety import (
     admissible_pairs,
 )
 from torusskein.traces import (
+    NumericRep,
     leading_z_coeff,
     numeric_rep,
+    numeric_stack,
     numeric_traces,
     series_table,
     trace_values,
     trace_word,
+    validate_stack,
 )
 
 RNG = np.random.default_rng(416)
@@ -163,16 +166,66 @@ def test_trace_values_equal_evaluate_exactly(cfg):
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
 def test_numeric_rep_traces_equal_trace_exactly(cfg):
-    reps = [numeric_rep(pair, random_z(), cfg)
-            for pair in admissible_pairs(cfg) for _ in range(3)]
-    table = numeric_traces(reps, 8, 8)
-    assert table.shape == (len(reps), 9, 9)
-    for rep, rows in zip(reps, table.tolist()):
+    picks = [pair for pair in admissible_pairs(cfg) for _ in range(3)]
+    zs = [random_z() for _ in picks]
+    us, vs = numeric_stack(picks, zs, cfg)
+    table = numeric_traces(us, vs, 8, 8)
+    assert table.shape == (len(picks), 9, 9)
+    for pair, z, u, v, rows in zip(picks, zs, us, vs, table.tolist()):
+        rep = numeric_rep(pair, z, cfg)
+        # the stack holds the matrices numeric_rep builds, bit for bit
+        assert rep.U.tobytes() == u.tobytes() and rep.V.tobytes() == v.tobytes()
         for i in range(9):
             for j in range(9):
                 assert_same_number(rows[i][j], rep.trace(i, j))
-    rep = numeric_rep(admissible_pairs(cfg)[0], random_z(), cfg)
-    assert numeric_traces([rep], 2, 5).shape == (1, 3, 6)
+    assert numeric_traces(us[:1], vs[:1], 2, 5).shape == (1, 3, 6)
+    assert numeric_traces(us[:2], vs[:2], 4, 1).shape == (2, 5, 2)
+
+
+def _broken_reps(cfg):
+    """(reason, rep) pairs that NumericRep.validate must reject."""
+    pair, *rest = admissible_pairs(cfg)
+    other = next(o for o in rest if o.k != pair.k and o.l != pair.l)
+    good = numeric_rep(pair, random_z(), cfg)
+    moved = numeric_rep(other, good.z_param, cfg)
+    infinite = good.V.copy()
+    infinite[0, 1] = complex("inf")
+    return [
+        ("not finite", NumericRep(good.U, good.V, pair, complex("nan"), cfg)),
+        ("not finite", NumericRep(good.U, infinite, pair, good.z_param, cfg)),
+        ("det U drifted", NumericRep(good.U * 1.001, good.V, pair, good.z_param, cfg)),
+        ("det V drifted", NumericRep(good.U, good.V * 1.001, pair, good.z_param, cfg)),
+        ("tr U is off", NumericRep(moved.U, good.V, pair, good.z_param, cfg)),
+        ("tr V is off", NumericRep(good.U, moved.V, pair, good.z_param, cfg)),
+        ("tr UV missed", NumericRep(good.U, good.V, pair, good.z_param + 0.1, cfg)),
+    ]
+
+
+@pytest.mark.parametrize("cfg", [TorusKnotConfig(3, 5), TorusKnotConfig(5, 12)], ids=str)
+def test_stacked_validation_rejects_what_validate_rejects(cfg):
+    pairs = admissible_pairs(cfg)
+    zs = [random_z() for _ in pairs]
+    us, vs = numeric_stack(pairs, zs, cfg)
+    validate_stack(us, vs, pairs, zs, cfg)  # a good stack passes
+    for reason, bad in _broken_reps(cfg):
+        with pytest.raises(ValueError, match=reason):
+            bad.validate()
+        # the broken sample in the middle of a good stack
+        at = len(pairs) // 2
+        stack_u = np.concatenate([us[:at], bad.U[None], us[at:]])
+        stack_v = np.concatenate([vs[:at], bad.V[None], vs[at:]])
+        with pytest.raises(ValueError, match=reason):
+            validate_stack(stack_u, stack_v, pairs[:at] + [bad.pair] + pairs[at:],
+                           zs[:at] + [bad.z_param] + zs[at:], cfg)
+
+
+def test_numeric_stack_rejects_a_non_finite_z_among_finite_ones():
+    cfg = TorusKnotConfig(3, 5)
+    pairs = admissible_pairs(cfg)
+    zs = [random_z() for _ in pairs]
+    zs[-1] = complex("nan")
+    with pytest.raises(ValueError, match="not finite"):
+        numeric_stack(pairs, zs, cfg)
 
 
 def test_leading_z_coeff_literals():
