@@ -3,17 +3,17 @@
 For each slope and strand count this prints the collar crossing count, the
 number of collar states the quotient keeps (those without a winding-0 arc,
 ``len(collar_states(slope, 2k))``), the framing normalization exponent, the
-exponents u_j in rotate(e_j) = A^(u_j) e_(slope-j), and whether rotate^(2k)
-is the identity on quotient coordinates.
+exponents u_j in rotate(e_j) = A^(u_j) e_(slope-j), and whether f^(2k) = 1
+in the quotient ring, f = rotate(w^0) being the rotation's multiplier.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 """
 
 import sys
 
+from torusskein.algebra import UniPoly
 from torusskein.sprime import (
     collar_states,
-    identity_matrix,
     power_tangle,
     rotate,
     rotation_exponents,
@@ -30,7 +30,7 @@ def main() -> int:
     for slope in range(2, max_slope + 1):
         for k in range(1, max_k + 1):
             collar = rotate(power_tangle(k, 0), slope)
-            ok = rotation_power(slope, k) == identity_matrix(slope - 1)
+            ok = rotation_power(slope, k) == UniPoly.constant("w", 1)
             expo = rotation_exponents(slope, k)
             norm = rotation_norm_exponent(slope, 2 * k)
             states = len(collar_states(slope, 2 * k))

@@ -6,7 +6,9 @@ Three polynomial flavours cover everything downstream:
   arbitrary-precision integer coefficients; the ground ring of all skein
   computations.
 * :class:`UniPoly` -- dense univariate polynomials over whatever scalar ring
-  the caller supplies (ints, fractions, floats, or :class:`Laurent`).
+  the caller supplies (ints, fractions, floats, or :class:`Laurent`).  Over
+  Laurent, ``%`` and ``pow(f, n, mod)`` work modulo a polynomial with a unit
+  leading coefficient: the quotient S'(T, 2k) is such a ring.
 * :class:`TracePoly` -- sparse polynomials in the trace coordinates
   ``x, y, z`` with integer coefficients.
 
@@ -31,17 +33,21 @@ from functools import lru_cache
 from typing import Mapping
 
 
-def _power(base, n: int, one):
-    """base ** n by square and multiply; ``one`` is the unit of base's ring."""
+def _power(base, n: int, one, mod=None):
+    """base ** n by square and multiply, with no product by ``one`` (the unit
+    of base's ring) and no square after the last bit; with ``mod``, every
+    product is reduced modulo it, as Python's three-argument pow does."""
     if n < 0:
         raise ValueError("negative power; a unit's inverse is unit_inverse")
-    out = one
+    reduce = (lambda v: v) if mod is None else (lambda v: v % mod)
+    base, out = reduce(base), None
     while n:
         if n & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else reduce(out * base)
         n >>= 1
-    return out
+        if n:
+            base = reduce(base * base)
+    return reduce(one) if out is None else out
 
 
 def _signed_sum(pieces) -> str:
@@ -312,16 +318,36 @@ class UniPoly:
         self._check(other)
         if not self.coeffs or not other.coeffs:
             return UniPoly(self.var)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # the zero of the coefficient ring (int(), Fraction(), Laurent(), ...),
+        # so that a slot no product reaches holds the same type as the rest
+        out = [type(self.coeffs[-1])()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+                if b:
+                    out[i + j] = out[i + j] + a * b
         return UniPoly(self.var, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return _power(self, n, UniPoly.constant(self.var, 1))
+    def __mod__(self, divisor: "UniPoly") -> "UniPoly":
+        """Remainder by a divisor whose leading coefficient has a
+        ``unit_inverse`` (which raises otherwise), top term first."""
+        self._check(divisor)
+        inverse, top = divisor.leading().unit_inverse(), divisor.degree
+        out = list(self.coeffs)
+        for m in range(len(out) - 1, top - 1, -1):
+            if not out[m]:
+                continue
+            factor = out[m] * inverse
+            for d, c in enumerate(divisor.coeffs, start=m - top):
+                if c:
+                    out[d] = out[d] - factor * c
+        return UniPoly(self.var, out[:top])
+
+    def __pow__(self, n: int, mod: "UniPoly | None" = None):
+        return _power(self, n, UniPoly.constant(self.var, 1), mod)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import TracePoly
+from .algebra import TracePoly, UniPoly
 from .charvariety import (
     TorusKnotConfig,
     admissible_pairs,
@@ -35,12 +35,12 @@ from .charvariety import (
 from .skein import BudgetError
 from .sprime import (
     basis_coordinates,
-    identity_matrix,
     normalization_shifts,
     normalized_basis_coordinates,
     rotated_basis,
     rotation_exponents,
     rotation_power,
+    times_A,
 )
 from .traces import numeric_stack, numeric_traces, series_table, trace_values, trace_word
 
@@ -78,18 +78,19 @@ def deg0_basis(cfg: TorusKnotConfig, degree_bound: int) -> list[Deg0]:
     """
     if degree_bound < 0:
         raise ValueError("bound must be nonnegative")
-    out: dict[int, Deg0] = {}
-    for n in range(degree_bound // (cfg.p * cfg.q) + 1):
-        for m1 in range(cfg.q):
-            for m2 in range(cfg.p):
-                idx = Deg0(m1, n, m2)
-                d = deg0_degree(idx, cfg)
+    p, q = cfg.p, cfg.q
+    out: dict[int, tuple] = {}
+    for n in range(degree_bound // (p * q) + 1):
+        for m1 in range(q):
+            for m2 in range(p):
+                d = p * m1 + p * q * n + q * m2  # deg0_degree, before any Deg0 is built
                 if d > degree_bound:
                     continue
                 if d in out:
-                    raise RuntimeError(f"degree collision at {out[d]} and {idx}")
-                out[d] = idx
-    return [out[d] for d in sorted(out)]
+                    raise RuntimeError(
+                        f"degree collision at {Deg0(*out[d])} and {Deg0(m1, n, m2)}")
+                out[d] = (m1, n, m2)
+    return [Deg0(*out[d]) for d in sorted(out)]
 
 
 def orbit_partner(idx: DegK, cfg: TorusKnotConfig) -> tuple[int, int]:
@@ -267,7 +268,7 @@ def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
 
 def _check_rotation_order(slope, max_k):
     for k in range(1, max_k + 1):
-        if rotation_power(slope, k) != identity_matrix(slope - 1):
+        if rotation_power(slope, k) != UniPoly.constant("w", 1):
             return False, {"slope": slope, "k": k}
     return True, {"slope": slope, "k_range": max_k}
 
@@ -276,11 +277,11 @@ def _check_basis_triangular(slope, max_k):
     for k in range(1, max_k + 1):
         coords = basis_coordinates(slope, k)
         for j in range(1, slope):
-            vec = coords[j - 1]
-            if vec[j - 1].unit_parts() is None:
+            diagonal = coords[j - 1][j - 1]  # an int 0 past the degree
+            if not diagonal or diagonal.unit_parts() is None:
                 return False, {"slope": slope, "k": k, "j": j,
-                               "diagonal": str(vec[j - 1])}
-            if any(vec[m] for m in range(j, slope - 1)):
+                               "diagonal": str(diagonal)}
+            if coords[j - 1].degree >= j:
                 return False, {"slope": slope, "k": k, "j": j,
                                "reason": "not triangular"}
     return True, {"slope": slope, "k_range": max_k}
@@ -301,7 +302,7 @@ def _check_normalized_rotation(slope, max_k):
         # the rotation is linear: it sends A^(n_j) e_j to A^(n_j) rotate(e_j)
         images = zip(rotated_basis(slope, k), normalization_shifts(slope, k))
         for j, (image, n) in enumerate(images, start=1):
-            if [c.shift(n) for c in image] != norm[slope - j - 1]:
+            if times_A(image, n) != norm[slope - j - 1]:
                 return False, {"slope": slope, "k": k, "j": j}
     return True, {"slope": slope, "k_range": max_k}
 

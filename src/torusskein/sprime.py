@@ -4,20 +4,24 @@ Fix a slope p >= 1 (the framing curve of the marked points runs once around
 the meridian direction and p times around the core) and k >= 1.  The quotient
 kills every multicurve holding a winding-0 arc (each holds an innermost one,
 a boundary-parallel arc between consecutive points).  The survivors are the
-w^m -- k seam-crossing arcs in rainbow position plus m core loops -- and
-powers m >= p-1 reduce through w^n times one relation, the rotated null
-tangle, to the basis {w^0, ..., w^(p-2)}.  Core loops lie inside the
-rotation collar, so the rotation commutes with w.
+w^m -- k seam-crossing arcs in rainbow position plus m core loops -- so the
+quotient is the ring Z[A, A^-1][w] modulo one relation, the rotated null
+tangle, of degree p-1 with a unit leading coefficient.  An element is a
+``UniPoly`` in w over ``Laurent`` reduced modulo it (``%``), with basis
+{w^0, ..., w^(p-2)}.
 
 The rotation shifts every marked point one step along the framing curve, the
 last one passing the seam.  Its collar word is one positive framing curl and
 p backward turns of one traveller strand, crossing each other strand once per
-full turn (sign +1), times a global power of A; the rotation invariants
-(rot^(2k) = 1, rot e_j = A^(u_j) e_(p-j) with u_(p-j) = -u_j) pin these
-constants, see the tests.  The collar at slope p continues the collar at
-slope p-1, its prefix, and the basis tangle e(k, j) is the collar at slope j
-without its curl, on the null tangle: the basis reads the relations at
-slopes 1..p-1, and one collar sum per slope and width feeds every table.
+full turn (sign +1), times a global power of A.  Core loops lie inside the
+collar, so the rotation commutes with w: it is multiplication by
+f = rotate(w^0), and rot^(2k) = 1 reads f^(2k) = 1 in the ring.  The
+rotation invariants (that one, rot e_j = A^(u_j) e_(p-j) with
+u_(p-j) = -u_j) pin the constants, see the tests.  The collar at slope p
+continues the collar at slope p-1, its prefix, and the basis tangle e(k, j)
+is the collar at slope j without its curl, on the null tangle: the basis
+reads the relations at slopes 1..p-1, and one collar sum per slope and width
+feeds every table.
 """
 
 from __future__ import annotations
@@ -182,15 +186,7 @@ def expand_framing_curve(slope: int) -> UniPoly:
     Returns a degree-``slope`` polynomial in y over the Laurent ring; the
     leading coefficient is a unit.
     """
-    el = resolve(framing_curve_tangle(slope))
-    coeffs = [Laurent.zero()] * (slope + 1)
-    for mc, c in el.terms.items():
-        if mc.arcs:
-            raise PlanarityError("closed curve resolved to a term with arcs")
-        if mc.loops >= len(coeffs):
-            coeffs.extend([Laurent.zero()] * (mc.loops + 1 - len(coeffs)))
-        coeffs[mc.loops] = coeffs[mc.loops] + c
-    return UniPoly("y", coeffs)
+    return _loop_polynomial(resolve(framing_curve_tangle(slope)), "y", ())
 
 
 def closed_basis_element(j: int, slope: int) -> SkeinElement:
@@ -204,186 +200,111 @@ def closed_basis_element(j: int, slope: int) -> SkeinElement:
 
 
 # ---------------------------------------------------------------------------
-# quotient coordinates
+# the quotient ring Z[A, A^-1][w] / (relation)
 # ---------------------------------------------------------------------------
 
 
-def _rainbow_arcs(k: int) -> tuple:
-    return tuple((i, 2 * k - 1 - i, -1) for i in range(k))
+def _loop_polynomial(el: SkeinElement, var: str, arcs: tuple) -> UniPoly:
+    """el as a polynomial in its core loops, dropping the terms that hold a
+    trivial arc; every other term must have exactly ``arcs``, or this raises."""
+    coeffs: list = []
+    for mc, c in el.terms.items():
+        if mc.has_trivial_arc():
+            continue
+        if mc.arcs != arcs:
+            raise PlanarityError(f"unexpected surviving multicurve {mc}")
+        coeffs.extend([Laurent.zero()] * (mc.loops + 1 - len(coeffs)))
+        coeffs[mc.loops] = coeffs[mc.loops] + c
+    return UniPoly(var, coeffs)
 
 
-def winding_part(el: SkeinElement, k: int) -> dict[int, Laurent]:
-    """Image of el after killing trivial-arc terms, as a map loops -> coeff.
+def winding_part(el: SkeinElement, k: int) -> UniPoly:
+    """Image of el after killing trivial-arc terms, a polynomial in w.
 
     Every survivor must be a rainbow multicurve w^m; anything else signals a
     bookkeeping bug and raises.
     """
     if el.endpoints != 2 * k:
         raise ValueError("endpoint count does not match k")
-    rainbow = _rainbow_arcs(k)
-    out: dict[int, Laurent] = {}
-    for mc, c in el.terms.items():
-        if mc.has_trivial_arc():
-            continue
-        if mc.arcs != rainbow:
-            raise PlanarityError(f"unexpected surviving multicurve {mc}")
-        s = out.get(mc.loops, Laurent.zero()) + c
-        if s:
-            out[mc.loops] = s
-        else:
-            out.pop(mc.loops, None)
-    return out
+    return _loop_polynomial(el, "w", tuple((i, 2 * k - 1 - i, -1) for i in range(k)))
 
 
 @lru_cache(maxsize=None)
-def reduction_relation(slope: int, k: int) -> tuple:
-    """Coefficients (by loop power) of the relation rotate(null_tangle(k, 0)).
-
-    It vanishes in the quotient, and w^n times it is rotate(null_tangle(k, n)).
-    Its top degree slope - 1 and unit leading coefficient make the rewriting
-    of every w^m, m >= slope - 1, well founded; anything else is a hard failure.
-    """
-    poly = winding_part(rotated_element(null_tangle(k, 0), slope), k)
-    top = slope - 1
-    degree = max(poly) if poly else -1
-    if degree != top:
+def reduction_relation(slope: int, k: int) -> UniPoly:
+    """The relation rotate(null_tangle(k, 0)), a polynomial in w; w^n times it
+    is rotate(null_tangle(k, n)).  Its degree slope - 1 and unit leading
+    coefficient make the remainder by it well defined, or this raises."""
+    rel = winding_part(rotated_element(null_tangle(k, 0), slope), k)
+    if rel.degree != slope - 1:
         raise QuotientError(
-            f"relation (slope={slope}, k={k}) has degree {degree}, "
-            f"expected {top}: {poly}")
-    if poly[top].unit_parts() is None:
+            f"relation (slope={slope}, k={k}) has degree {rel.degree}, "
+            f"expected {slope - 1}: {rel}")
+    if rel.leading().unit_parts() is None:
         raise QuotientError(
             f"relation (slope={slope}, k={k}) has non-invertible "
-            f"leading coefficient {poly[top]}")
-    return tuple(poly.get(m, Laurent.zero()) for m in range(top + 1))
+            f"leading coefficient {rel.leading()}")
+    return rel
 
 
-def _reduce_winding(poly: dict[int, Laurent], slope: int, k: int) -> list[Laurent]:
-    """Coordinates of a map loops -> coeff, which is consumed: each w^m with
-    m >= slope-1 is cancelled by w^(m-slope+1) times the relation."""
+def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> UniPoly:
+    """el in the quotient: its winding part modulo the relation, whose
+    coefficients are el's coordinates in the basis w^m, m < slope-1."""
     if slope < 2:
         raise ValueError("slope must be at least 2 for a nontrivial quotient")
-    rel = reduction_relation(slope, k)
-    top = slope - 1
-    inverse = rel[top].unit_inverse()
-    while poly:
-        m = max(poly)
-        if m < top:
-            break
-        factor = poly[m] * inverse
-        for d, c in enumerate(rel, start=m - top):
-            if not c:
-                continue
-            s = poly.get(d, Laurent.zero()) - factor * c
-            if s:
-                poly[d] = s
-            else:
-                poly.pop(d, None)
-    return [poly.get(m, Laurent.zero()) for m in range(top)]
+    return winding_part(el, k) % reduction_relation(slope, k)
 
 
-def quotient_coordinates(el: SkeinElement, slope: int, k: int) -> list[Laurent]:
-    """Coordinates of el in the quotient basis {w^m : 0 <= m <= slope-2}."""
-    return _reduce_winding(winding_part(el, k), slope, k)
+def times_A(el: UniPoly, exp: int) -> UniPoly:
+    """A^exp * el: a shift of each coefficient, no Laurent product."""
+    return UniPoly(el.var, [c.shift(exp) for c in el.coeffs])
+
+
+def unit_ratio(a: UniPoly, b: UniPoly) -> Laurent:
+    """The unit u with a = u * b: lead(a) / lead(b), then checked; b's leading
+    coefficient must be a unit (as on the triangular basis elements)."""
+    u = a.leading() * b.leading().unit_inverse()
+    if u.unit_parts() is None:
+        raise ValueError(f"ratio {u} is not a unit")
+    if a != b * u:
+        raise ValueError("elements are not proportional by one unit")
+    return u
 
 
 # ---------------------------------------------------------------------------
-# the rotation as a matrix on quotient coordinates
+# the rotation: multiplication by f = rotate(w^0)
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def rotation_matrix(slope: int, k: int) -> tuple:
-    """Columns of the rotation operator in the basis {w^m}, m < slope-1.
-
-    Column m holds the quotient coordinates of rotate(w^m): the one state sum
-    rotate(w^0), reduced with every loop count raised by m.  Rotating an
-    arbitrary element then reduces to one matrix-vector product, so iterating
-    the rotation runs no further state sum.
-    """
-    rainbow = winding_part(rotated_element(power_tangle(k, 0), slope), k)
-    return tuple(
-        tuple(_reduce_winding({d + m: c for d, c in rainbow.items()}, slope, k))
-        for m in range(slope - 1))
-
-
-def apply_matrix(cols, vec: list[Laurent]) -> list[Laurent]:
-    dim = len(cols)
-    out = [Laurent.zero()] * dim
-    for m, c in enumerate(vec):
-        if not c:
-            continue
-        col = cols[m]
-        for i in range(dim):
-            if col[i]:
-                out[i] = out[i] + c * col[i]
-    return out
-
-
-def identity_matrix(dim: int):
-    return tuple(tuple(Laurent.one() if i == m else Laurent.zero()
-                       for i in range(dim)) for m in range(dim))
-
-
-def _compose(a, b):
-    """Columns of the product a b."""
-    return tuple(tuple(apply_matrix(a, list(col))) for col in b)
-
-
-def matrix_power(cols, n: int):
-    """cols^n by square-and-multiply: no product by the identity, and no
-    square past the last bit."""
-    result = None
-    while n:
-        if n & 1:
-            result = cols if result is None else _compose(cols, result)
-        n >>= 1
-        if n:
-            cols = _compose(cols, cols)
-    return identity_matrix(len(cols)) if result is None else result
-
-
-def unit_ratio(vec_a: list[Laurent], vec_b: list[Laurent]) -> Laurent:
-    """The unit u with vec_a = u * vec_b, if one exists.
-
-    Needs at least one coordinate of vec_b to be a unit (true for the
-    triangular basis vectors this is used on).
-    """
-    for a, b in zip(vec_a, vec_b):
-        if not b or b.unit_parts() is None:
-            continue
-        cand = a * b.unit_inverse()
-        if cand.unit_parts() is None:
-            raise ValueError(f"ratio {cand} is not a unit")
-        if all(x == cand * y for x, y in zip(vec_a, vec_b)):
-            return cand
-        raise ValueError("coordinates are not proportional by one unit")
-    raise ValueError("no unit coordinate to divide by")
+def rotation_matrix(slope: int, k: int) -> UniPoly:
+    """f = rotate(w^0) in the quotient.  Core loops lie inside the collar, so
+    rotate(w^m) = w^m f: the rotation is multiplication by f, and f is column 0
+    of its matrix in the basis w^m.  The benchmark's tracer looks up this name
+    and quotient_coordinates' by name, so both stay as they are."""
+    return quotient_coordinates(rotated_element(power_tangle(k, 0), slope), slope, k)
 
 
 @lru_cache(maxsize=None)
 def basis_coordinates(slope: int, k: int) -> tuple:
-    """Quotient coordinates of the raw basis tangles e(k, j), j = 1..slope-1: the
-    relation at slope j times -A^-(3 + rotation_norm_exponent(j, 2k)), undoing the
-    curl and normalization; of degree j-1 < slope-1, it needs no reduction."""
-    return tuple(
-        tuple(c * -Laurent.A(-3 - rotation_norm_exponent(j, 2 * k))
-              for c in reduction_relation(j, k)) + (Laurent.zero(),) * (slope - 1 - j)
-        for j in range(1, slope))
+    """The raw basis tangles e(k, j), j = 1..slope-1, in the quotient: the
+    relation at slope j times -A^-(3 + rotation_norm_exponent(j, 2k)), undoing
+    the curl and normalization; of degree j-1 < slope-1, it needs no reduction."""
+    return tuple(times_A(-reduction_relation(j, k), -3 - rotation_norm_exponent(j, 2 * k))
+                 for j in range(1, slope))
 
 
 @lru_cache(maxsize=None)
-def rotation_power(slope: int, k: int) -> tuple:
-    """Columns of R^(2k), R = rotation_matrix(slope, k); the rotation has
-    order dividing 2k on the quotient exactly when this is the identity."""
-    return matrix_power(rotation_matrix(slope, k), 2 * k)
+def rotation_power(slope: int, k: int) -> UniPoly:
+    """f^(2k) modulo the relation; the rotation has order dividing 2k on the
+    quotient exactly when this is 1."""
+    return pow(rotation_matrix(slope, k), 2 * k, reduction_relation(slope, k))
 
 
 @lru_cache(maxsize=None)
 def rotated_basis(slope: int, k: int) -> tuple:
-    """Quotient coordinates of rotate(e_j), j = 1..slope-1: R applied to the
-    rows of basis_coordinates(slope, k)."""
-    cols = rotation_matrix(slope, k)
-    return tuple(tuple(apply_matrix(cols, list(e))) for e in basis_coordinates(slope, k))
+    """rotate(e_j) = f e_j modulo the relation, j = 1..slope-1."""
+    f, rel = rotation_matrix(slope, k), reduction_relation(slope, k)
+    return tuple(f * e % rel for e in basis_coordinates(slope, k))
 
 
 @lru_cache(maxsize=None)
@@ -412,7 +333,7 @@ def normalization_shifts(slope: int, k: int) -> list[int]:
     return [-expo[j - 1] if 2 * j > slope else 0 for j in range(1, slope)]
 
 
-def normalized_basis_coordinates(slope: int, k: int) -> list[list[Laurent]]:
-    """Basis coordinates rescaled so rotate(e_j) = e_(slope-j) exactly."""
-    return [[c.shift(n) for c in e]
+def normalized_basis_coordinates(slope: int, k: int) -> list[UniPoly]:
+    """Basis elements rescaled so rotate(e_j) = e_(slope-j) exactly."""
+    return [times_A(e, n)
             for e, n in zip(basis_coordinates(slope, k), normalization_shifts(slope, k))]

@@ -9,6 +9,14 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 
+def clear_sprime_caches():
+    """Empty every lru_cache defined in ``sprime``, found by scanning the
+    module, so that no list of its caches has to be kept by hand."""
+    for fn in vars(sprime).values():
+        if hasattr(fn, "cache_clear") and fn.__module__ == sprime.__name__:
+            fn.cache_clear()
+
+
 @pytest.fixture
 def state_budget(monkeypatch):
     """Lower ``skein.STATE_BUDGET`` for one test.
@@ -17,10 +25,7 @@ def state_budget(monkeypatch):
     without running the state sum that the lowered bound should refuse.
     """
     def lower(limit):
-        for fn in (sprime.collar_states, sprime.rotation_matrix, sprime.basis_coordinates,
-                   sprime.reduction_relation, sprime.rotation_exponents,
-                   sprime.rotation_power, sprime.rotated_basis):
-            fn.cache_clear()
+        clear_sprime_caches()
         monkeypatch.setattr(skein, "STATE_BUDGET", limit)
     return lower
 

@@ -14,6 +14,7 @@ from torusskein.algebra import (
     chebyshev,
     chebyshev_in,
 )
+from torusskein.sprime import reduction_relation
 
 A = Laurent.A
 
@@ -128,6 +129,38 @@ def test_variable_tag_mismatch_is_error():
         pass
     else:
         raise AssertionError("expected a variable mismatch error")
+
+
+# -- UniPoly over Laurent, modulo a relation ----------------------------------
+
+
+def w_polys(max_degree=6):
+    return st.lists(laurents(), max_size=max_degree + 1).map(lambda cs: UniPoly("w", cs))
+
+
+# the quotients S'(T, 2k) the verifier reduces in
+relations = st.builds(reduction_relation, st.integers(2, 7), st.integers(1, 3))
+
+
+@given(w_polys(), w_polys(), relations)
+def test_remainder_respects_products(a, b, r):
+    assert (a * b) % r == ((a % r) * (b % r)) % r
+
+
+@given(w_polys(10), relations)
+def test_remainder_degree_below_divisor(a, r):
+    assert (a % r).degree < r.degree
+
+
+@given(w_polys(3), st.integers(0, 6), relations)
+def test_modular_power_matches_full_power(f, n, r):
+    assert pow(f, n, r) == (f ** n) % r
+
+
+@given(w_polys(), laurents(max_terms=3).filter(lambda c: c and c.unit_parts() is None))
+def test_remainder_needs_a_unit_leading_coefficient(a, lead):
+    with pytest.raises(ValueError, match="not a unit"):
+        a % UniPoly("w", [Laurent.one(), lead])
 
 
 # -- TracePoly ---------------------------------------------------------------

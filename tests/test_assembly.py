@@ -54,6 +54,27 @@ def test_deg0_examples_trefoil():
     assert got[(1, 0, 1)] == 5
 
 
+def reference_deg0_basis(cfg, bound):
+    """deg0_basis as a Deg0 per candidate, built before the bound is tested."""
+    out = {}
+    for n in range(bound // (cfg.p * cfg.q) + 1):
+        for m1 in range(cfg.q):
+            for m2 in range(cfg.p):
+                idx = Deg0(m1, n, m2)
+                d = deg0_degree(idx, cfg)
+                if d > bound:
+                    continue
+                assert d not in out, (cfg, idx)
+                out[d] = idx
+    return [out[d] for d in sorted(out)]
+
+
+def test_deg0_basis_equals_per_candidate_reference():
+    for cfg in coprime_configs(13):
+        bound = 4 * cfg.p * cfg.q
+        assert deg0_basis(cfg, bound) == reference_deg0_basis(cfg, bound), cfg
+
+
 def test_deg0_degrees_distinct_up_to_twelve():
     for cfg in coprime_configs(12):
         basis = deg0_basis(cfg, 4 * cfg.p * cfg.q)  # raises on any collision

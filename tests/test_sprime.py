@@ -1,9 +1,10 @@
 """Quotient coordinates, reduction relations, the rotation operator, bases."""
 
 import pytest
+from conftest import clear_sprime_caches
 
 from torusskein import skein, sprime
-from torusskein.algebra import DELTA, Laurent
+from torusskein.algebra import DELTA, Laurent, UniPoly
 from torusskein.assembly import verify_theorem
 from torusskein.charvariety import TorusKnotConfig
 from torusskein.skein import (
@@ -17,13 +18,10 @@ from torusskein.skein import (
     resolve_states,
 )
 from torusskein.sprime import (
-    apply_matrix,
     basis_coordinates,
     basis_tangle,
     closed_basis_element,
     expand_framing_curve,
-    identity_matrix,
-    matrix_power,
     normalized_basis_coordinates,
     null_tangle,
     power_tangle,
@@ -34,12 +32,18 @@ from torusskein.sprime import (
     rotation_exponents,
     rotation_matrix,
     rotation_norm_exponent,
+    times_A,
     winding_part,
 )
 
 A = Laurent.A
 ONE = Laurent.one()
 ZERO = Laurent.zero()
+W_ONE = UniPoly.constant("w", ONE)
+
+
+def w_power(m):
+    return UniPoly("w", [ZERO] * m + [ONE])
 
 GRID = [(slope, k) for slope in (2, 3, 5) for k in (1, 2, 3)]
 
@@ -82,25 +86,24 @@ def test_power_tangle_coordinates():
         for m in range(slope - 1):
             coords = quotient_coordinates(
                 resolve(power_tangle(k, m), drop_trivial_arcs=True), slope, k)
-            want = [ONE if i == m else ZERO for i in range(slope - 1)]
-            assert coords == want
+            assert coords == w_power(m)
 
 
 def test_trivial_arc_elements_vanish():
     for k in (1, 2, 3):
         coords = quotient_coordinates(resolve(null_tangle(k, 2), drop_trivial_arcs=True), 3, k)
-        assert all(c == ZERO for c in coords)
+        assert coords.is_zero()
 
 
 def test_reduction_of_top_power():
     # slope 2: every positive loop power rewrites to zero
     coords = quotient_coordinates(resolve(power_tangle(1, 1), drop_trivial_arcs=True), 2, 1)
-    assert coords == [ZERO]
+    assert coords.is_zero()
     # slope 3: the first reducible power rewrites to a unit multiple of w^0
     coords = quotient_coordinates(resolve(power_tangle(1, 2), drop_trivial_arcs=True), 3, 1)
     assert coords[0].unit_parts() is not None or coords[0] == ZERO
     rel = _rotated_null_relation(3, 1, 0)
-    want = [rel[0] * rel[2].unit_inverse() * Laurent({0: -1}), ZERO]
+    want = UniPoly("w", [rel[0] * rel[2].unit_inverse() * Laurent({0: -1})])
     assert coords == want
 
 
@@ -109,8 +112,7 @@ def _rotated_null_relation(slope, k, n):
     one word, collar then tangle: the reference for the relation."""
     norm = A(rotation_norm_exponent(slope, 2 * k))
     el = resolve(rotate(null_tangle(k, n), slope), drop_trivial_arcs=True).scale(norm)
-    poly = winding_part(el, k)
-    return [poly.get(d, ZERO) for d in range(max(poly) + 1)]
+    return list(winding_part(el, k).coeffs)
 
 
 def test_relation_degrees_and_units():
@@ -123,7 +125,7 @@ def test_relation_degrees_and_units():
                 want = _rotated_null_relation(slope, k, n)
                 assert len(want) - 1 == n + slope - 1
                 assert want[-1].unit_parts() is not None
-                assert want == [ZERO] * n + list(rel), (slope, k, n)
+                assert want == [ZERO] * n + list(rel.coeffs), (slope, k, n)
 
 
 def _second_kind(n):
@@ -141,7 +143,7 @@ def test_relation_closed_form():
     cheb = _second_kind(8)
     for slope in range(2, 9):
         for k in (1, 2, 3):
-            want = tuple(-A(2 * k) * c for c in cheb[slope - 1])
+            want = UniPoly("w", [-A(2 * k) * c for c in cheb[slope - 1]])
             assert reduction_relation(slope, k) == want, (slope, k)
 
 
@@ -154,52 +156,52 @@ def test_quotient_requires_slope_two():
 
 
 def test_rotation_order():
+    # the rotation is multiplication by f, so it has order dividing 2k
+    # exactly when f^(2k) = 1 in the quotient (the power taken in full here,
+    # then reduced once)
     for slope, k in GRID:
-        cols = rotation_matrix(slope, k)
-        assert matrix_power(cols, 2 * k) == identity_matrix(slope - 1), (slope, k)
+        f = rotation_matrix(slope, k)
+        assert f ** (2 * k) % reduction_relation(slope, k) == W_ONE, (slope, k)
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_matrix_power_squares_only_while_bits_remain(monkeypatch, n):
-    # square-and-multiply: bit_length - 1 squarings and popcount - 1
-    # products, one apply_matrix per column each; n = 6 takes both branches
-    cols = rotation_matrix(5, 2)
-    want = identity_matrix(len(cols))
+    # the n-th power of the rotation's multiplier f, modulo the relation:
+    # square-and-multiply takes bit_length - 1 squarings and popcount - 1
+    # products, none by 1; n = 6 takes both branches
+    f, rel = rotation_matrix(5, 2), reduction_relation(5, 2)
+    want = W_ONE
     for _ in range(n):
-        want = tuple(tuple(apply_matrix(cols, list(col))) for col in want)
+        want = want * f % rel
     calls = []
+    product = UniPoly.__mul__
 
     def counted(*args):
         calls.append(args)
-        return apply_matrix(*args)
+        return product(*args)
 
-    monkeypatch.setattr(sprime, "apply_matrix", counted)
-    assert matrix_power(cols, n) == want
-    products = max(n.bit_length() - 1, 0) + max(n.bit_count() - 1, 0)
-    assert len(calls) == products * len(cols), n
+    monkeypatch.setattr(UniPoly, "__mul__", counted)
+    assert pow(f, n, rel) == want
+    assert len(calls) == max(n.bit_length() - 1, 0) + max(n.bit_count() - 1, 0), n
 
 
 @pytest.fixture
 def fresh_rotation_tables():
-    """Empty the rotation's caches before and after a test, so that tables
+    """Empty the quotient's caches before and after a test, so that tables
     built from a patched rotation never outlive it."""
-    tables = (sprime.rotation_matrix, sprime.rotation_power, sprime.rotated_basis,
-              sprime.rotation_exponents)
-    for fn in tables:
-        fn.cache_clear()
+    clear_sprime_caches()
     yield
-    for fn in tables:
-        fn.cache_clear()
+    clear_sprime_caches()
 
 
 def test_wrong_rotation_fails_the_checks_on_cached_tables(monkeypatch, fresh_rotation_tables):
     # the caches hold tables, never verdicts: behind emptied caches, A times
-    # the rotation has (A R)^(2k) = A^(2k) and moves every exponent by one,
-    # so both checks that read the cached tables fail
+    # the rotation's multiplier has (A f)^(2k) = A^(2k) and moves every
+    # exponent by one, so both checks that read the cached tables fail
     rotation = sprime.rotation_matrix
 
     def scaled(slope, k):
-        return tuple(tuple(c.shift(1) for c in col) for col in rotation(slope, k))
+        return times_A(rotation(slope, k), 1)
 
     monkeypatch.setattr(sprime, "rotation_matrix", scaled)
     report = verify_theorem(TorusKnotConfig(2, 3), max_k=2)
@@ -214,32 +216,31 @@ def test_rotation_is_linear_on_elements():
     slope, k = 3, 2
     tangle = AnnularTangle(4, (crossing(0, 1), crossing(3, -1), cap(3), cap(1)))
     whole = quotient_coordinates(rotated_element(tangle, slope), slope, k)
-    parts = [ZERO] * (slope - 1)
+    parts = UniPoly("w")
     for mc, c in resolve(tangle).items():
         from torusskein.skein import multicurve_tangle
         piece = quotient_coordinates(rotated_element(multicurve_tangle(mc), slope), slope, k)
-        parts = [p + c * v for p, v in zip(parts, piece)]
+        parts = parts + piece * c
     assert parts == whole
 
 
 def test_rotation_matrix_columns_are_rotated_powers():
-    # column m, built from the rotated w^0 with every loop count raised by m,
-    # equals the rotation of w^m resolved on its own
+    # the fact the ring rests on: w^m f, the rotated w^0 times w^m, reduced,
+    # equals the rotation of w^m resolved on its own, for every basis power
     for slope, k in GRID:
-        cols = rotation_matrix(slope, k)
+        f, rel = rotation_matrix(slope, k), reduction_relation(slope, k)
         for m in range(slope - 1):
             want = quotient_coordinates(rotated_element(power_tangle(k, m), slope), slope, k)
-            assert list(cols[m]) == want, (slope, k, m)
+            assert w_power(m) * f % rel == want, (slope, k, m)
 
 
 def test_rotation_matrix_matches_direct_rotation():
     for slope, k in ((2, 1), (3, 1), (3, 2), (5, 1)):
-        cols = rotation_matrix(slope, k)
+        f, rel = rotation_matrix(slope, k), reduction_relation(slope, k)
         for j in range(1, slope):
             direct = quotient_coordinates(
                 rotated_element(basis_tangle(k, j, slope), slope), slope, k)
-            via_matrix = apply_matrix(cols, list(basis_coordinates(slope, k)[j - 1]))
-            assert direct == via_matrix, (slope, k, j)
+            assert direct == f * basis_coordinates(slope, k)[j - 1] % rel, (slope, k, j)
 
 
 def _rotated_tangles(slope, k):
@@ -338,8 +339,7 @@ def test_rotation_preserves_killed_submodule():
         for n in (0, 1):
             el = rotated_element(null_tangle(k, n), slope)
             # after reduction the image is identically zero in the quotient
-            assert all(c == ZERO
-                       for c in quotient_coordinates(el, slope, k))
+            assert quotient_coordinates(el, slope, k).is_zero()
 
 
 # -- distinguished basis ------------------------------------------------------
@@ -366,9 +366,9 @@ def test_basis_coordinates_match_basis_tangles():
             coords = basis_coordinates(slope, k)
             for j in range(1, slope):
                 want = quotient_coordinates(resolve(basis_tangle(k, j, slope)), slope, k)
-                assert list(coords[j - 1]) == want, (slope, k, j)
-                closed = [A(1 - j) * c for c in cheb[j - 1]] + [0] * (slope - 1 - j)
-                assert list(coords[j - 1]) == closed, (slope, k, j)
+                assert coords[j - 1] == want, (slope, k, j)
+                closed = UniPoly("w", [A(1 - j) * c for c in cheb[j - 1]])
+                assert coords[j - 1] == closed, (slope, k, j)
 
 
 def test_basis_triangular_with_unit_diagonal():
@@ -389,10 +389,10 @@ def test_rotation_exponent_antisymmetry():
 
 def test_normalized_basis_swaps_exactly():
     for slope, k in GRID:
-        cols = rotation_matrix(slope, k)
+        f, rel = rotation_matrix(slope, k), reduction_relation(slope, k)
         norm = normalized_basis_coordinates(slope, k)
         for j in range(1, slope):
-            assert apply_matrix(cols, norm[j - 1]) == norm[slope - j - 1], (slope, k, j)
+            assert f * norm[j - 1] % rel == norm[slope - j - 1], (slope, k, j)
 
 
 def test_basis_index_range_guard():
@@ -416,8 +416,7 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     caches = (sprime.rotation_matrix, sprime.basis_coordinates,
               sprime.reduction_relation, sprime.rotation_exponents,
               sprime.collar_states, sprime.rotation_power, sprime.rotated_basis)
-    for fn in caches:
-        fn.cache_clear()
+    clear_sprime_caches()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
     for fn in (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
                sprime.rotation_power, sprime.rotated_basis):
