@@ -82,7 +82,8 @@ class _Sparse:
     """Sparse integer polynomial: ``terms`` maps monomial keys to nonzero ints.
 
     A subclass supplies its validating ``__init__``, ``_coerce`` (its own
-    values and the scalars it accepts, else NotImplemented) and ``__mul__``.
+    values and the scalars it accepts, else NotImplemented), ``__mul__`` and
+    ``_CONSTANT``, the key of the constant monomial.
     """
 
     __slots__ = ("terms",)
@@ -134,7 +135,11 @@ class _Sparse:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its int, so it hashes as that int (zero as 0)
+        terms = self.terms
+        if len(terms) <= 1 and terms.keys() <= {self._CONSTANT}:
+            return hash(terms.get(self._CONSTANT, 0))
+        return hash(frozenset(terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -147,6 +152,7 @@ class Laurent(_Sparse):
     """Laurent polynomial in A, stored as a sparse exponent -> int map."""
 
     __slots__ = ()
+    _CONSTANT = 0
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -398,6 +404,7 @@ class TracePoly(_Sparse):
     """
 
     __slots__ = ()
+    _CONSTANT = (0, 0, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
         clean: dict[tuple[int, int, int], int] = {}

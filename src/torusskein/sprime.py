@@ -302,9 +302,23 @@ def rotation_power(slope: int, k: int) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def rotated_basis(slope: int, k: int) -> tuple:
-    """rotate(e_j) = f e_j modulo the relation, j = 1..slope-1."""
-    f, rel = rotation_matrix(slope, k), reduction_relation(slope, k)
-    return tuple(f * e % rel for e in basis_coordinates(slope, k))
+    """rotate(e_j) = f e_j modulo the relation, j = 1..slope-1: the sum of
+    e_j[m] g_m over the columns g_m = w^m f modulo the relation, each column
+    the one before times w, with one top-term reduction."""
+    rel = reduction_relation(slope, k)
+    columns = [rotation_matrix(slope, k)]
+    for _ in range(slope - 2):
+        columns.append(UniPoly("w", (Laurent.zero(),) + columns[-1].coeffs) % rel)
+    out = []
+    for e in basis_coordinates(slope, k):
+        image = [Laurent.zero()] * (slope - 1)
+        for c, g in zip(e.coeffs, columns):
+            if c:
+                for m, d in enumerate(g.coeffs):
+                    if d:
+                        image[m] = image[m] + c * d
+        out.append(UniPoly("w", image))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

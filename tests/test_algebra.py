@@ -259,3 +259,36 @@ def test_values_are_immutable():
             value.terms = {}
         with pytest.raises(AttributeError, match=name):
             value.extra = 1
+
+
+def int_form(f, flag, constant):
+    # the int that f equals when f is a constant (or zero) and the flag is set
+    if flag and set(f.terms) <= {constant}:
+        return f.terms.get(constant, 0)
+    return f
+
+
+def assert_one_value(a, b):
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_constants_hash_as_their_ints():
+    assert_one_value(Laurent.one(), 1)
+    assert_one_value(Laurent.zero(), 0)
+    assert_one_value(TracePoly.constant(3), 3)
+    assert_one_value(TracePoly.constant(3), Fraction(3))
+    assert_one_value(UniPoly("w", [0, Laurent.one()]),
+                     UniPoly("w", [Laurent.zero(), Laurent.one()]))
+
+
+@given(st.lists(st.tuples(laurents(max_exp=1), st.booleans()), max_size=4),
+       trace_polys(max_exp=1), st.booleans())
+def test_equal_values_hash_equal(coeffs, t, flag):
+    # few exponents, so that constant and zero coefficients come up often
+    for f, g in coeffs:
+        assert_one_value(f, int_form(f, g, 0))
+    assert_one_value(UniPoly("w", [f for f, _ in coeffs]),
+                     UniPoly("w", [int_form(f, g, 0) for f, g in coeffs]))
+    assert_one_value(t, int_form(t, flag, (0, 0, 0)))

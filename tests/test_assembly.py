@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,29 @@ def test_dst_negative_control():
     m = sine_matrix(TorusKnotConfig(3, 5)).copy()
     m[1, :] = m[0, :]
     assert scaled_abs_det(m) < 1e-8
+
+
+def test_scaled_det_overflows_to_inf_without_warning():
+    # a DST-I matrix: |det| = (201/2)^200 after row scaling, past float range
+    n = 400
+    m = np.sin(np.pi * np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) / (n + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scaled_abs_det(m) == math.inf
+
+
+@pytest.mark.parametrize("det, passed, witness", [
+    (math.inf, True, {"scaled_det": "inf"}),
+    (0.0, False, {"scaled_det": 0.0, "cond": "inf"}),
+])
+def test_dst_witness_is_json_safe(monkeypatch, det, passed, witness):
+    # (31, 37) overflows the determinant for real; patched here, it is quick
+    monkeypatch.setattr(assembly, "scaled_abs_det", lambda m: det)
+    report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
+    check, = [c for c in report.checks if c["name"] == "dst-invertible"]
+    assert check["pass"] is passed
+    assert witness.items() <= check["witness"].items()
+    json.loads(report.json_str(), parse_constant=pytest.fail)  # no NaN or Infinity
 
 
 # -- verification report -------------------------------------------------------
