@@ -17,9 +17,8 @@ monomial keys to nonzero ints, with addition, negation, subtraction, powers,
 equality, hashing and immutability written once.  The results of those
 operations are built straight from maps already clean, without another pass
 through the validating constructor.  Each class adds its constructor, the
-scalars it coerces (Laurent: int; TracePoly: int or integral Fraction), its
-product (int exponents against exponent triples), and its rendering and
-evaluation.
+scalars it coerces (ints, for both), its product (int exponents against
+exponent triples), and its rendering and evaluation.
 
 All values are immutable after construction; every operation is pure, so
 values can be shared freely across threads.
@@ -28,7 +27,6 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -71,8 +69,6 @@ def _scalar_term(c, mon: str) -> tuple[bool, str]:
 
 
 def _fmt_scalar(c) -> str:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
     if isinstance(c, float) and c == int(c):
         return str(int(c))
     return str(c)
@@ -396,9 +392,9 @@ class TracePoly(_Sparse):
     """Sparse polynomial in the trace coordinates x, y, z over the integers.
 
     Terms map exponent triples (i, j, k) for x^i y^j z^k to nonzero ints:
-    every trace of a word in u and v lies in Z[x, y, z].  An integral
-    Fraction coefficient is stored as its numerator; a non-integral one is
-    never truncated (ValueError here, TypeError in arithmetic, == False).
+    every trace of a word in u and v lies in Z[x, y, z].  A coefficient
+    that is not an int (a Fraction, a float) is never truncated: TypeError
+    here and in arithmetic, and == answers False.
     The canonical term order is graded lexicographic, which fixes both
     rendering and equality-of-string output across runs.
     """
@@ -410,7 +406,7 @@ class TracePoly(_Sparse):
         clean: dict[tuple[int, int, int], int] = {}
         if terms:
             for key, c in terms.items():
-                c = _integer(c)
+                c = operator.index(c)
                 if c:
                     clean[(int(key[0]), int(key[1]), int(key[2]))] = c
         object.__setattr__(self, "terms", clean)
@@ -419,7 +415,7 @@ class TracePoly(_Sparse):
     def _coerce(v):
         if isinstance(v, TracePoly):
             return v
-        if isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1:
+        if isinstance(v, int):
             return TracePoly.constant(v)
         return NotImplemented
 
@@ -500,15 +496,6 @@ class TracePoly(_Sparse):
 
     def __repr__(self):
         return f"TracePoly({self})"
-
-
-def _integer(c) -> int:
-    """c as an int: an integral Fraction gives its numerator, never a truncation."""
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise ValueError(f"TracePoly coefficients are integers, got {c}")
-        return c.numerator
-    return operator.index(c)
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,13 @@ from .skein import STATE_BUDGET, AnnularTangle, BudgetError, PlanarityError, res
 from .traces import trace_word
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _config(args) -> TorusKnotConfig:
     return TorusKnotConfig(args.p, args.q)
 
@@ -151,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bracket", help="resolve an annular tangle from a JSON file")
     s.add_argument("file")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--budget", type=int, default=None,
+    s.add_argument("--budget", type=positive_int, default=None,
                    help="bound on live distinct states in the exact state sum "
                         f"(default {STATE_BUDGET})")
     s.set_defaults(fn=cmd_bracket)

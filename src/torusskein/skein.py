@@ -62,8 +62,6 @@ class BudgetError(RuntimeError):
 
 
 def crossing(pos: int, sign: int) -> tuple:
-    if sign not in (1, -1):
-        raise MalformedTangle("crossing sign must be +1 or -1")
     return (X, pos, sign)
 
 
@@ -76,8 +74,6 @@ def cap(pos: int) -> tuple:
 
 
 def rot(sign: int) -> tuple:
-    if sign not in (1, -1):
-        raise MalformedTangle("rot sign must be +1 or -1")
     return (ROT, sign)
 
 
@@ -290,108 +286,94 @@ class SkeinElement:
 # ---------------------------------------------------------------------------
 # state machine
 #
-# A state is (slots, arcs, loops).  slots[i] describes the open strand end at
-# angular position i: ("E", e, w) if the other end of its curve is the marked
-# boundary point e, ("S", j, w) if the other end sits at slot j.  In both
-# cases w is the signed number of seam crossings accumulated walking along
-# the curve from the recorded far end to this end.
+# A state is (ends, arcs, loops).  ends[i] = (far, w) describes the open
+# strand end at angular position i: far >= 0 is the position of the other
+# end of its curve, far < 0 the marked boundary point ~far; w is the signed
+# number of seam crossings accumulated walking along the curve from the far
+# end to this end.  A crossing's turnback smoothing and a cap share one
+# join, _turnback; the cap then deletes the two joined positions.
 # ---------------------------------------------------------------------------
 
 ONE = Laurent.one()
 
 
 def _initial_state(width: int):
-    return (tuple(("E", e, 0) for e in range(width)), (), 0)
+    return (tuple((~e, 0) for e in range(width)), (), 0)
 
 
-def _apply_cap(state, i):
-    """Join the ends at cyclic positions (i, i+1); returns (state, factor)."""
-    slots, arcs, loops = state
-    width = len(slots)
-    j = (i + 1) % width
-    seam = 1 if i == width - 1 else 0  # cap traversal from the i side to the j side
-    u, v = slots[i], slots[j]
-    new_entries = {}
-    if u[0] == "S" and u[1] == j:
-        total = u[2] + seam
+def _turnback(state, i):
+    """Join the curves at cyclic positions i, i+1, and leave a fresh arc between
+    the two positions; returns (state, factor in {ONE, DELTA})."""
+    ends, arcs, loops = state
+    j = (i + 1) % len(ends)
+    seam = 1 if j == 0 else 0  # the join's traversal from i to j crosses the seam
+    (fu, wu), (fv, wv) = ends[i], ends[j]
+    factor = ONE
+    ends = list(ends)
+    if fu == j:
+        total = wu + seam
         if total == 0:
             factor = DELTA
         elif total in (1, -1):
-            factor = ONE
             loops += 1
         else:
             raise PlanarityError(f"closed component with net winding {total}")
     else:
-        factor = ONE
-        walk = u[2] + seam - v[2]  # far(u) -> i -> j -> far(v)
-        if u[0] == "E" and v[0] == "E":
-            a, b, w = u[1], v[1], walk
+        walk = wu + seam - wv  # fu -> i -> j -> fv
+        if fu < 0 and fv < 0:
+            a, b, w = ~fu, ~fv, walk
             if a > b:
                 a, b, w = b, a, -w
             if w not in (0, -1):
                 raise PlanarityError(f"arc ({a},{b}) with net winding {w}")
             arcs = tuple(sorted(arcs + ((a, b, w),)))
-        elif u[0] == "E":
-            new_entries[v[1]] = ("E", u[1], walk)
-        elif v[0] == "E":
-            new_entries[u[1]] = ("E", v[1], -walk)
-        else:
-            new_entries[u[1]] = ("S", v[1], -walk)
-            new_entries[v[1]] = ("S", u[1], walk)
-    retained = [t for t in range(width) if t != i and t != j]
-    index = {old: new for new, old in enumerate(retained)}
-    out = []
-    for old in retained:
-        e = new_entries.get(old, slots[old])
-        out.append(("S", index[e[1]], e[2]) if e[0] == "S" else e)
-    return (tuple(out), arcs, loops), factor
+        if fv >= 0:
+            ends[fv] = (fu, walk)
+        if fu >= 0:
+            ends[fu] = (fv, -walk)
+    ends[i], ends[j] = (j, -seam), (i, seam)
+    return (tuple(ends), arcs, loops), factor
+
+
+def _apply_cap(state, i):
+    (ends, arcs, loops), factor = _turnback(state, i)
+    lo, hi = sorted((i, (i + 1) % len(ends)))
+    kept = ends[:lo] + ends[lo + 1:hi] + ends[hi + 1:]
+    return (tuple((f - (f > lo) - (f > hi), w) for f, w in kept), arcs, loops), factor
 
 
 def _apply_cup(state, i):
-    slots, arcs, loops = state
-    shifted = [("S", m + 2 if m >= i else m, w) if t == "S" else (t, m, w)
-               for t, m, w in slots]
-    new = shifted[:i] + [("S", i + 1, 0), ("S", i, 0)] + shifted[i:]
-    return (tuple(new), arcs, loops)
+    ends, arcs, loops = state
+    shifted = [(f + 2 if f >= i else f, w) for f, w in ends]
+    return (tuple(shifted[:i] + [(i + 1, 0), (i, 0)] + shifted[i:]), arcs, loops)
 
 
 def _apply_rot(state, sign):
-    slots, arcs, loops = state
-    width = len(slots)
+    ends, arcs, loops = state
+    width = len(ends)
+    ends = list(ends)
     mover = width - 1 if sign == 1 else 0
-    entries = list(slots)
-    t, far, w = entries[mover]
-    entries[mover] = (t, far, w + sign)
-    if t == "S":
-        pt, pfar, pw = entries[far]
-        entries[far] = (pt, pfar, pw - sign)
-    new = [None] * width
-    for old, e in enumerate(entries):
-        pos = (old + sign) % width
-        new[pos] = ("S", (e[1] + sign) % width, e[2]) if e[0] == "S" else e
-    return (tuple(new), arcs, loops)
+    far, w = ends[mover]
+    ends[mover] = (far, w + sign)
+    if far >= 0:
+        ends[far] = (ends[far][0], ends[far][1] - sign)
+    ends = [((f + sign) % width if f >= 0 else f, w) for f, w in ends]
+    ends = ends[-1:] + ends[:-1] if sign == 1 else ends[1:] + ends[:1]
+    return (tuple(ends), arcs, loops)
 
 
 def _apply_event(state, ev):
     """List of (state, A-exponent, factor in {ONE, DELTA}) from one slice."""
     op = ev[0]
     if op == X:
-        _, i, sign = ev
-        width = len(state[0])
-        capped, f = _apply_cap(state, i)
-        if i == width - 1:  # a turnback across the seam: cup at the end, then rotate
-            turned = _apply_rot(_apply_cup(capped, width - 2), 1)
-        else:
-            turned = _apply_cup(capped, i)
-        return [(state, sign, ONE), (turned, -sign, f)]
+        turned, f = _turnback(state, ev[1])
+        return [(state, ev[2], ONE), (turned, -ev[2], f)]
     if op == CUP:
         return [(_apply_cup(state, ev[1]), 0, ONE)]
     if op == CAP:
         new, f = _apply_cap(state, ev[1])
         return [(new, 0, f)]
-    if op == ROT:
-        return [(_apply_rot(state, ev[1]), 0, ONE)]
-    raise MalformedTangle(f"unknown slice op {op!r}")
+    return [(_apply_rot(state, ev[1]), 0, ONE)]
 
 
 def resolve_states(tangle: AnnularTangle, budget: int | None = None,

@@ -33,7 +33,7 @@ def coprime_configs(limit):
 def small_trace_polys():
     keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
     return st.dictionaries(keys, st.integers(-5, 5), min_size=1, max_size=3).map(
-        lambda d: TracePoly({k: Fraction(v) for k, v in d.items()}))
+        TracePoly)
 
 
 def test_config_validation():

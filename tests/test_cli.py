@@ -97,6 +97,18 @@ def test_bracket_budget_flag(tmp_path, capsys, monkeypatch):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_bracket_budget_below_one_is_usage_error(tmp_path, capsys, budget):
+    # a bound below one would refuse every sum: a usage error, not a refusal
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"endpoints": 0, "slices": [], "meta": {}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", str(path), "--budget", budget])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:") and "--budget: must be at least 1" in err
+
+
 @pytest.mark.parametrize("diagram, field", [
     ({"endpoints": 2}, "'slices'"),
     ({"endpoints": 2, "slices": [{"op": "cap"}]}, "'pos'"),

@@ -1,6 +1,8 @@
 """State-sum engine: Kauffman relations, normal forms, the state budget."""
 
+import hashlib
 import json
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -70,11 +72,59 @@ def test_core_loop_and_powers():
 
 
 def test_kink_factors_exact():
+    (plain, one), = resolve_states(AnnularTangle(1, ())).items()
+    assert one == Laurent.one()
     for sign in (1, -1):
         states = resolve_states(AnnularTangle(1, kink_slices(0, sign)))
         (state, coeff), = states.items()
-        assert state == ((("E", 0, 0),), (), 0)
+        assert state == plain
         assert coeff == Laurent({3 * sign: -1})
+
+
+def pinned_words(count=200, seed=14):
+    """Closed words on running widths 0-6: every slice kind, both signs, seam crossings."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        width = rng.choice((0, 2, 4, 6))
+        w, slices = width, []
+        for _ in range(rng.randint(2, 20)):
+            kind = rng.choice(("x", "x", "cup", "cap", "rot"))
+            if kind == "x" and w >= 2:
+                pos = w - 1 if rng.random() < 0.35 else rng.randrange(w)
+                slices.append(crossing(pos, rng.choice((1, -1))))
+            elif kind == "cup" and w <= 4:
+                slices.append(cup(rng.randrange(w + 1)))
+                w += 2
+            elif kind == "cap" and w >= 2:
+                slices.append(cap(rng.randrange(w)))
+                w -= 2
+            elif kind == "rot" and w >= 1:
+                slices.append(rot(rng.choice((1, -1))))
+        while w:
+            slices.append(cap(rng.randrange(w)))
+            w -= 2
+        words.append(AnnularTangle(width, tuple(slices)))
+    return words
+
+
+def test_resolved_words_match_recorded_digest():
+    # the engine's results on a fixed list of words, byte for byte; the
+    # digest was taken from the state machine with tagged strand ends
+    words = pinned_words()
+    seen = set()
+    for t in words:
+        w = t.endpoints
+        for ev in t.slices:
+            seam = ev[0] in ("x", "cap") and ev[1] == w - 1
+            seen.add((ev[0], seam, ev[2] if ev[0] == "x" else ev[1] if ev[0] == "rot" else 0))
+            w = AnnularTangle(w, (ev,)).final_width
+    assert seen >= {("x", seam, sign) for seam in (False, True) for sign in (1, -1)}
+    assert seen >= {("cap", False, 0), ("cap", True, 0), ("rot", False, 1), ("rot", False, -1)}
+    assert any(ev[0] == "cup" for t in words for ev in t.slices)
+    blob = json.dumps([resolve(t).to_json() for t in words], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "7f13d4fde103ef87a804f3392963cef5d8c7a7b2e39cb3c829013407790f8054")
 
 
 def test_closed_kink_factors():
@@ -283,6 +333,11 @@ def test_malformed_words_rejected():
         AnnularTangle(2, (crossing(2, 1),))
     with pytest.raises(MalformedTangle):
         AnnularTangle(0, (rot(1),))
+    # slice constructors check nothing: the tangle checks every slice
+    with pytest.raises(MalformedTangle, match="crossing sign"):
+        AnnularTangle(2, (crossing(0, 2),))
+    with pytest.raises(MalformedTangle, match="rot sign"):
+        AnnularTangle(1, (rot(0),))
     with pytest.raises(MalformedTangle):
         resolve(AnnularTangle(2, ()))  # open tangle
 

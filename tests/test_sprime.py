@@ -252,22 +252,16 @@ def _rotated_tangles(slope, k):
     yield from (basis_tangle(k, j, slope) for j in range(1, slope))
 
 
-def _without_trivial_arcs(el):
-    return SkeinElement(el.endpoints, {mc: c for mc, c in el.terms.items()
-                                       if not mc.has_trivial_arc()})
-
-
 def test_rotated_element_matches_full_word():
     # continuing from the cached collar states equals resolving the whole
-    # word, up to the trivial-arc terms the quotient kills.  The oracle
-    # resolves the unpruned collar once per (slope, k), apart from
-    # collar_states, and continues each tangle's word from it.
+    # rotated word, up to the trivial-arc terms the quotient kills.  The
+    # oracle resolves rotate(t, slope) from scratch, apart from collar_states;
+    # test_dropping_trivial_arcs_filters_the_full_sum pins the pruning.
     for slope in range(2, 7):
         for k in (1, 2, 3):
             norm = Laurent.A(rotation_norm_exponent(slope, 2 * k))
-            collar = resolve_states(AnnularTangle(2 * k, sprime.rotation_slices(slope, 2 * k)))
             for t in _rotated_tangles(slope, k):
-                want = _without_trivial_arcs(resolve(t, start=collar).scale(norm))
+                want = resolve(rotate(t, slope), drop_trivial_arcs=True).scale(norm)
                 assert rotated_element(t, slope) == want, (slope, k, t)
 
 
