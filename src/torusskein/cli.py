@@ -27,6 +27,12 @@ from .charvariety import TorusKnotConfig, admissible_pairs, components
 from .skein import STATE_BUDGET, AnnularTangle, BudgetError, PlanarityError, resolve
 from .traces import trace_word
 
+CHEBYSHEV_BUDGET = 2 ** 10  # largest n; `chebyshev 1024` takes 0.7 s
+# bound on (D+1)(D//p+1)^2 at `skein-basis --degree 0 --bound D`: about D
+# traces, each a power of degree at most D/p in x, taken by squaring;
+# `skein-basis 3 2 --degree 0 --bound 668` takes 1.1 s
+BASIS_BUDGET = 2 ** 25
+
 
 def positive_int(text: str) -> int:
     n = int(text)
@@ -40,6 +46,8 @@ def _config(args) -> TorusKnotConfig:
 
 
 def cmd_chebyshev(args) -> int:
+    if args.n > CHEBYSHEV_BUDGET:
+        raise BudgetError(f"T_{args.n}: n exceeds the Chebyshev budget of {CHEBYSHEV_BUDGET}")
     print(chebyshev(args.n))
     return 0
 
@@ -82,6 +90,11 @@ def cmd_skein_basis(args) -> int:
     cfg = _config(args)
     if args.degree == 0:
         bound = args.bound if args.bound is not None else 4 * cfg.p * cfg.q
+        work = (bound + 1) * (bound // cfg.p + 1) ** 2
+        if work > BASIS_BUDGET:
+            raise BudgetError(
+                f"degree-0 basis of ({cfg.p},{cfg.q}) to degree {bound}: (D+1)(D//p+1)^2 = "
+                f"{work} exceeds the basis budget of {BASIS_BUDGET}")
         basis = deg0_basis(cfg, bound)
         if args.json:
             print(json.dumps(

@@ -82,6 +82,22 @@ def kink_slices(pos: int, sign: int) -> tuple:
     return (cup(pos + 1), crossing(pos, sign), cap(pos + 1))
 
 
+def turn_slices(turns: int, width: int) -> tuple:
+    """The strand at position 0 makes ``turns`` backward passages of the seam.
+
+    Between consecutive passages it sweeps back down through the other
+    strands with positive crossings, so every full turn crosses each other
+    strand once.
+    """
+    down = tuple(crossing(m, 1) for m in range(width - 2, -1, -1))
+    return (rot(-1),) + (down + (rot(-1),)) * (turns - 1)
+
+
+def loop_slices(n: int) -> tuple:
+    """Slices appending n parallel core loops, each a closed one-turn word."""
+    return ((cup(0),) + turn_slices(1, 2) + (cap(0),)) * n
+
+
 _SLICE_FIELDS = {"crossing": (crossing, ("pos", "sign")), "cup": (cup, ("pos",)),
                  "cap": (cap, ("pos",)), "rot": (rot, ("sign",))}
 
@@ -232,36 +248,15 @@ class SkeinElement:
     def __setattr__(self, name, value):
         raise AttributeError("SkeinElement values are immutable")
 
-    def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        if self.endpoints != other.endpoints:
-            raise ValueError("boundary mismatch")
-        out = dict(self.terms)
-        for mc, c in other.terms.items():
-            s = out.get(mc, Laurent.zero()) + c
-            if s:
-                out[mc] = s
-            else:
-                out.pop(mc, None)
-        return SkeinElement(self.endpoints, out)
-
-    def __sub__(self, other: "SkeinElement") -> "SkeinElement":
-        return self + other.scale(Laurent({0: -1}))
-
     def scale(self, c) -> "SkeinElement":
         if not isinstance(c, Laurent):
             c = Laurent({0: c})
         return SkeinElement(self.endpoints, {mc: v * c for mc, v in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, SkeinElement):
             return NotImplemented
         return self.endpoints == other.endpoints and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.endpoints, frozenset(self.terms.items())))
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].arcs, kv[0].loops))
@@ -461,8 +456,3 @@ def multicurve_tangle(mc: Multicurve) -> AnnularTangle:
                 raise PlanarityError(f"matching not planar-realizable: {mc}")
     slices.extend(loop_slices(mc.loops))
     return AnnularTangle(mc.endpoints, tuple(slices))
-
-
-def loop_slices(n: int) -> tuple:
-    """Slices appending n parallel core loops."""
-    return (cup(0), rot(1), cap(0)) * n

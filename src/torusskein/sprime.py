@@ -22,6 +22,11 @@ continues the collar at slope p-1, its prefix, and the basis tangle e(k, j)
 is the collar at slope j without its curl, on the null tangle: the basis
 reads the relations at slopes 1..p-1, and one collar sum per slope and width
 feeds every table.
+
+``skein`` builds every word; this module only composes them: the turns of
+the collar, the basis tangles, the framing curve and each core loop come
+from ``turn_slices``, and the crossingless tangles w^m and the null tangle
+from ``multicurve_tangle`` of their multicurves.
 """
 
 from __future__ import annotations
@@ -36,29 +41,17 @@ from .skein import (
     PlanarityError,
     SkeinElement,
     cap,
-    crossing,
     cup,
     kink_slices,
-    loop_slices,
+    multicurve_tangle,
     resolve,
     resolve_states,
-    rot,
+    turn_slices,
 )
 
 
 class QuotientError(RuntimeError):
     """A reduction relation has a non-invertible leading coefficient."""
-
-
-def turn_slices(turns: int, width: int) -> tuple:
-    """The strand at position 0 makes ``turns`` backward passages of the seam.
-
-    Between consecutive passages it sweeps back down through the other
-    strands with positive crossings, so every full turn crosses each other
-    strand once.
-    """
-    down = tuple(crossing(m, 1) for m in range(width - 2, -1, -1))
-    return (rot(-1),) + (down + (rot(-1),)) * (turns - 1)
 
 
 def rotation_slices(slope: int, width: int) -> tuple:
@@ -131,13 +124,16 @@ def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
 # ---------------------------------------------------------------------------
 
 
+def rainbow(k: int) -> tuple:
+    """The arcs of w^m: k seam-crossing arcs, nested, on 2k marked points."""
+    return tuple((i, 2 * k - 1 - i, -1) for i in range(k))
+
+
 def power_tangle(k: int, m: int) -> AnnularTangle:
     """w^m: the k-arc seam rainbow with m core loops inside."""
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
-    slices = [cap(width - 1) for width in range(2 * k, 0, -2)]
-    slices.extend(loop_slices(m))
-    return AnnularTangle(2 * k, tuple(slices))
+    return multicurve_tangle(Multicurve(rainbow(k), m))
 
 
 def null_tangle(k: int, n: int) -> AnnularTangle:
@@ -148,10 +144,7 @@ def null_tangle(k: int, n: int) -> AnnularTangle:
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    slices = [cap(2 * k - 2)]
-    slices.extend(cap(width - 1) for width in range(2 * k - 2, 0, -2))
-    slices.extend(loop_slices(n))
-    return AnnularTangle(2 * k, tuple(slices))
+    return multicurve_tangle(Multicurve(rainbow(k - 1) + ((2 * k - 2, 2 * k - 1, 0),), n))
 
 
 def basis_tangle(k: int, j: int, slope: int) -> AnnularTangle:
@@ -167,17 +160,11 @@ def basis_tangle(k: int, j: int, slope: int) -> AnnularTangle:
 
 
 def framing_curve_tangle(slope: int) -> AnnularTangle:
-    """The framing curve pushed into the solid torus: winds ``slope`` times
-    around the annulus, drawn as a spiral with slope-1 crossings."""
+    """The framing curve pushed into the solid torus: the closed ``slope``-turn
+    word, winding ``slope`` times around the annulus with slope-1 crossings."""
     if slope < 1:
         raise ValueError("slope must be at least 1")
-    word: list = [cup(0)]
-    for _ in range(slope - 1):
-        word.append(rot(1))
-        word.append(crossing(0, 1))
-    word.append(rot(1))
-    word.append(cap(0))
-    return AnnularTangle(0, tuple(word))
+    return AnnularTangle(0, (cup(0),) + turn_slices(slope, 2) + (cap(0),))
 
 
 def expand_framing_curve(slope: int) -> UniPoly:
@@ -226,7 +213,7 @@ def winding_part(el: SkeinElement, k: int) -> UniPoly:
     """
     if el.endpoints != 2 * k:
         raise ValueError("endpoint count does not match k")
-    return _loop_polynomial(el, "w", tuple((i, 2 * k - 1 - i, -1) for i in range(k)))
+    return _loop_polynomial(el, "w", rainbow(k))
 
 
 @lru_cache(maxsize=None)

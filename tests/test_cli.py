@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from torusskein import skein
-from torusskein.cli import main
+from torusskein import cli, skein
+from torusskein.algebra import chebyshev
+from torusskein.cli import BASIS_BUDGET, CHEBYSHEV_BUDGET, main
 from torusskein.traces import WORD_BUDGET, trace_word
 
 
@@ -23,6 +24,23 @@ def test_chebyshev_output(capsys):
     code, out, _ = run_cli(capsys, "chebyshev", "3")
     assert code == 0
     assert out == "s^3 - 3*s\n"
+
+
+def test_chebyshev_refuses_past_its_budget(capsys):
+    chebyshev.cache_clear()
+    code, out, err = run_cli(capsys, "chebyshev", "20000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(CHEBYSHEV_BUDGET) in err
+    assert chebyshev.cache_info().currsize == 0
+
+
+def test_chebyshev_budget_accepts_its_largest_case(capsys):
+    chebyshev.cache_clear()
+    code, out, _ = run_cli(capsys, "chebyshev", str(CHEBYSHEV_BUDGET))
+    chebyshev.cache_clear()  # the memo holds every lower T_n
+    assert code == 0 and out.startswith(f"s^{CHEBYSHEV_BUDGET} - ")
+    code, out, _ = run_cli(capsys, "chebyshev", str(CHEBYSHEV_BUDGET + 1))
+    assert code == 2 and out == ""
 
 
 def test_trace_poly_output(capsys):
@@ -139,6 +157,26 @@ def test_skein_basis_degree_one(capsys):
     assert blob == [{"k": 1, "j1": 1, "j2": 1, "partner": [2, 1], "trace": "z"}]
 
 
+def test_skein_basis_refuses_past_its_budget(capsys, monkeypatch):
+    # the degree-0 listing is refused before any index or trace is built
+    def unreachable(*args):
+        raise AssertionError("built past the budget")
+    monkeypatch.setattr(cli, "deg0_basis", unreachable)
+    code, out, err = run_cli(capsys, "skein-basis", "2", "3", "--degree", "0",
+                             "--bound", "100000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(BASIS_BUDGET) in err
+
+
+def test_skein_basis_budget_accepts_its_largest_case(capsys):
+    # (D+1)(D//2+1)^2 is at most the budget for D = 511, not for D = 512
+    code, out, _ = run_cli(capsys, "skein-basis", "2", "3", "--degree", "0", "--bound", "511")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("  x^2 P^84 y^1  (degree 511)")
+    code, out, _ = run_cli(capsys, "skein-basis", "2", "3", "--degree", "0", "--bound", "512")
+    assert code == 2 and out == ""
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "2", "3", "--max-k", "1")
     assert code == 0
@@ -215,12 +253,17 @@ def test_verify_refusal_is_not_failure(capsys, state_budget):
     assert check["witness"]["refused"]["k"] == 3
 
 
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_sweep_counts_refusals_apart(capsys, monkeypatch, state_budget):
     # slope 5 peaks at 24 live states for k = 2, slopes 2 to 4 at most 17
-    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
-    spec = importlib.util.spec_from_file_location("verify_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_script("verify_sweep")
     state_budget(20)
     monkeypatch.setattr(sys, "argv", ["verify_sweep.py", "5", "2"])
     assert sweep.main() == 3
@@ -230,6 +273,24 @@ def test_sweep_counts_refusals_apart(capsys, monkeypatch, state_budget):
     assert status == {"(2,3)": "ok", "(2,5)": "REFUSED", "(3,4)": "ok",
                       "(3,5)": "REFUSED", "(4,5)": "REFUSED"}
     assert out.endswith("0 failing configuration(s), 3 refused configuration(s)\n")
+
+
+def test_dst_conditioning_exits_one_on_a_failing_pair(capsys, monkeypatch):
+    script = load_script("dst_conditioning")
+    monkeypatch.setattr(sys, "argv", ["dst_conditioning.py", "5"])
+    assert script.main() == 0
+    passing = capsys.readouterr().out
+    assert "FAILS" not in passing
+    real = script.verify_dst
+
+    def failing_at_3_4(cfg):
+        ok, det, cond = real(cfg)
+        return ok and (cfg.p, cfg.q) != (3, 4), det, cond
+    monkeypatch.setattr(script, "verify_dst", failing_at_3_4)
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "FAILS" in line] == [
+        line + "  <-- FAILS" for line in passing.splitlines() if "( 3, 4)" in line]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,5 +1,8 @@
 """Quotient coordinates, reduction relations, the rotation operator, bases."""
 
+import hashlib
+import json
+
 import pytest
 from conftest import clear_sprime_caches
 
@@ -14,6 +17,7 @@ from torusskein.skein import (
     SkeinElement,
     cap,
     crossing,
+    loop_slices,
     resolve,
     resolve_states,
 )
@@ -22,6 +26,7 @@ from torusskein.sprime import (
     basis_tangle,
     closed_basis_element,
     expand_framing_curve,
+    framing_curve_tangle,
     normalized_basis_coordinates,
     null_tangle,
     power_tangle,
@@ -32,6 +37,8 @@ from torusskein.sprime import (
     rotation_exponents,
     rotation_matrix,
     rotation_norm_exponent,
+    rotation_power,
+    rotation_slices,
     times_A,
     winding_part,
 )
@@ -76,6 +83,53 @@ def test_closed_basis_elements():
     el = closed_basis_element(5, 2)  # j = 2*2 + 1: framing curve squared times y
     degrees = {mc.loops for mc in el.terms}
     assert max(degrees) == 5
+
+
+# -- pinned words ---------------------------------------------------------------
+
+
+def _crossing_words():
+    """The words whose slices every report depends on."""
+    for k in range(1, 6):
+        for slope in range(1, 10):
+            yield "rotation", k, slope, repr(rotation_slices(slope, 2 * k))
+            for j in range(1, max(slope - 1, 1) + 1):
+                yield "basis", k, j, slope, repr(basis_tangle(k, j, slope).slices)
+        yield "power", k, repr(power_tangle(k, 0).slices)
+        yield "null", k, repr(null_tangle(k, 0).slices)
+
+
+def _framing_classes():
+    for slope in range(1, 13):
+        yield "framing", slope, str(expand_framing_curve(slope))
+        for j in range(3 * slope):
+            yield "closed", j, slope, str(closed_basis_element(j, slope))
+
+
+def _loop_words():
+    """Words holding core loops, by their resolved elements: the direction a
+    loop's turn passes the seam is free, its class is not."""
+    for n in range(5):
+        yield "loops", n, resolve(AnnularTangle(0, loop_slices(n))).to_json()
+    for k in range(1, 5):
+        for m in range(1, 4):
+            yield "power", k, m, resolve(power_tangle(k, m)).to_json()
+            yield "null", k, m, resolve(null_tangle(k, m)).to_json()
+    for slope in range(1, 10):
+        yield "framing", slope, resolve(framing_curve_tangle(slope)).to_json()
+
+
+@pytest.mark.parametrize("family, digest", [
+    (_crossing_words, "8698a5ecf4f5f98dc24c4823b1a8f6d4f609e7ec16babd8877b63ea0dbbe1b23"),
+    (_framing_classes, "29b88473ba344a37595485aaa9117e67274b4cc380c84b5601fbe7259e1a26d5"),
+    (_loop_words, "78573913e4ec5ea62f226a4e035d9023e9c4f5390699998097a73e8ac6b726e5"),
+], ids=["crossing-words", "framing-classes", "loop-words"])
+def test_words_match_recorded_digest(family, digest):
+    # the distinguished words, slice for slice, and the classes built from
+    # them, byte for byte; the digests were taken from the builders that
+    # drew turns by hand in three places
+    blob = json.dumps(list(family()), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 # -- quotient coordinates -----------------------------------------------------
@@ -379,6 +433,16 @@ def test_rotation_exponent_antisymmetry():
         expo = rotation_exponents(slope, k)
         for j in range(1, slope):
             assert expo[j - 1] == -expo[slope - j - 1], (slope, k)
+
+
+def test_rotation_exponents_closed_form():
+    # u_j = slope - 2j, and the rotation's multiplier has order dividing 2k,
+    # on every slope the rotation table covers
+    for slope in range(2, 9):
+        for k in (1, 2, 3):
+            want = tuple(slope - 2 * j for j in range(1, slope))
+            assert rotation_exponents(slope, k) == want, (slope, k)
+            assert rotation_power(slope, k) == W_ONE, (slope, k)
 
 
 def test_normalized_basis_swaps_exactly():
