@@ -1,11 +1,10 @@
 """Exact Kauffman bracket skein calculus for torus-knot complements."""
 
-from .algebra import DELTA, Laurent, TracePoly, UniPoly, chebyshev, chebyshev_in
+from .algebra import DELTA, Laurent, TracePoly, UniPoly, chebyshev, chebyshev_terms
 from .charvariety import (
     AdmissiblePair,
     Component,
     TorusKnotConfig,
-    abelian_meeting_points,
     abelian_parametrization,
     admissible_pairs,
     components,
@@ -39,6 +38,6 @@ from .sprime import (
     rotation_matrix,
     rotation_norm_exponent,
 )
-from .traces import NumericRep, leading_z_coeff, numeric_rep, series_table, trace_word
+from .traces import NumericRep, numeric_rep, series_table, trace_word
 
 __version__ = "0.1.0"

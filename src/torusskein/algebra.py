@@ -1,16 +1,20 @@
 """Exact coefficient arithmetic.
 
-Three polynomial flavours cover everything downstream:
+Three polynomial flavours cover everything downstream, and one recursion
+builds the Chebyshev polynomials in each of them:
 
 * :class:`Laurent` -- Laurent polynomials in the framing variable ``A`` with
   arbitrary-precision integer coefficients; the ground ring of all skein
   computations.
-* :class:`UniPoly` -- dense univariate polynomials over whatever scalar ring
-  the caller supplies (ints, fractions, floats, or :class:`Laurent`).  Over
-  Laurent, ``%`` and ``pow(f, n, mod)`` work modulo a polynomial with a unit
-  leading coefficient: the quotient S'(T, 2k) is such a ring.
+* :class:`UniPoly` -- dense univariate polynomials over ints, floats or
+  :class:`Laurent`.  Over Laurent, ``%`` and ``pow(f, n, mod)`` work
+  modulo a polynomial with a unit leading coefficient: the quotient
+  S'(T, 2k) is such a ring.
 * :class:`TracePoly` -- sparse polynomials in the trace coordinates
   ``x, y, z`` with integer coefficients.
+* :func:`chebyshev_terms` -- X_(n+1) = g X_n - X_(n-1) for a variable g of
+  either polynomial flavour (s or w, x or y): the first kind T_n from
+  X_0 = 2, the second kind S_n from X_0 = 1.  :func:`chebyshev` is T_n in s.
 
 Laurent and TracePoly share one sparse core, ``_Sparse``: a map from
 monomial keys to nonzero ints, with addition, negation, subtraction, powers,
@@ -27,7 +31,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from itertools import islice
 from typing import Mapping
 
 
@@ -136,9 +140,6 @@ class _Sparse:
         if len(terms) <= 1 and terms.keys() <= {self._CONSTANT}:
             return hash(terms.get(self._CONSTANT, 0))
         return hash(frozenset(terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -251,16 +252,16 @@ DELTA = Laurent.loop_value()
 class UniPoly:
     """Dense univariate polynomial; the variable is a one-letter tag.
 
-    Coefficients may live in any commutative ring that supports +, * and
-    comparison with 0 (ints, Fraction, float, complex, Laurent).  Mixing
-    different variable tags in one operation is a usage error.
+    Coefficients are ints, floats or Laurent values.  Mixing different
+    variable tags in one operation is a usage error.  The Chebyshev
+    polynomials in s and w come from :func:`chebyshev_terms`.
     """
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs=()):
         coeffs = list(coeffs)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -320,7 +321,7 @@ class UniPoly:
         self._check(other)
         if not self.coeffs or not other.coeffs:
             return UniPoly(self.var)
-        # the zero of the coefficient ring (int(), Fraction(), Laurent(), ...),
+        # the zero of the coefficient ring (int(), float() or Laurent()),
         # so that a slot no product reaches holds the same type as the rest
         out = [type(self.coeffs[-1])()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -369,7 +370,7 @@ class UniPoly:
         pieces = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if _is_zero(c):
+            if not c:
                 continue
             mon = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
             if isinstance(c, Laurent):
@@ -380,12 +381,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self})"
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, Laurent):
-        return c.is_zero()
-    return c == 0
 
 
 class TracePoly(_Sparse):
@@ -458,9 +453,6 @@ class TracePoly(_Sparse):
             return 0
         return max(key[axis] for key in self.terms)
 
-    def swap_xy(self) -> "TracePoly":
-        return TracePoly._wrap({(j, i, k): c for (i, j, k), c in self.terms.items()})
-
     def evaluate(self, xv, yv, zv):
         out = 0
         for (i, j, k), c in self.terms.items():
@@ -498,23 +490,25 @@ class TracePoly(_Sparse):
         return f"TracePoly({self})"
 
 
-@lru_cache(maxsize=None)
-def chebyshev(n: int) -> UniPoly:
-    """Trace polynomial of a power: T_n with T_n(t + 1/t) = t^n + 1/t^n.
+def chebyshev_terms(gen, x0: int = 2):
+    """X_0, X_1, X_2, ... in the ring of ``gen``, holding only the last two:
+    X_0 = x0, X_1 = gen and X_(n+1) = gen*X_n - X_(n-1).
 
-    T_0 = 2, T_1 = s, T_{n+1} = s*T_n - T_{n-1}.
+    ``x0`` = 2 gives the first kind T_n, with T_n(t + 1/t) = t^n + t^-n;
+    ``x0`` = 1 the second kind S_n, with S_n(t + 1/t) = (t^(n+1) -
+    t^-(n+1)) / (t - 1/t).  ``gen`` is any ring value with +, - and * by
+    its own ring and by ints: a UniPoly variable (s, w) or TracePoly.x()
+    or .y().  This is the one Chebyshev recursion of the package.
     """
+    # X_(-1) = gen*X_0 - X_1, so that the loop also yields X_1
+    prev, cur = gen * (x0 - 1), gen * 0 + x0
+    while True:
+        yield cur
+        prev, cur = cur, gen * cur - prev
+
+
+def chebyshev(n: int) -> UniPoly:
+    """Trace polynomial of a power: T_n in s, with T_n(t + 1/t) = t^n + 1/t^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return UniPoly("s", (2,))
-    if n == 1:
-        return UniPoly.variable("s")
-    for m in range(2, n):  # fill the memo bottom-up, so recursion stays shallow
-        chebyshev(m)
-    return UniPoly.variable("s") * chebyshev(n - 1) - chebyshev(n - 2)
-
-
-def chebyshev_in(var: str, n: int) -> UniPoly:
-    """chebyshev(n) with the variable renamed, e.g. T_n(x) or T_n(y)."""
-    return UniPoly(var, chebyshev(n).coeffs)
+    return next(islice(chebyshev_terms(UniPoly.variable("s")), n, None))

@@ -121,13 +121,23 @@ def degk_orbits(cfg: TorusKnotConfig, k: int) -> list[DegK]:
     return out
 
 
-def basis_to_trace(idx, cfg: TorusKnotConfig) -> TracePoly:
-    """Trace function of a graded basis element (up to a global sign at A=-1)."""
-    if isinstance(idx, Deg0):
-        return (TracePoly.x() ** idx.m1) * (knot_trace(cfg) ** idx.n) * (TracePoly.y() ** idx.m2)
-    if isinstance(idx, DegK):
-        return TracePoly.z() ** (idx.k - 1) * trace_word(idx.j1, idx.j2)
-    raise TypeError(f"not a graded index: {idx!r}")
+def basis_traces(indices, cfg: TorusKnotConfig):
+    """Trace function of each graded basis element of a listing, in order
+    (each up to a global sign at A=-1).
+
+    The powers P^n of the knot class are built once per listing, each from
+    the one before, and shared by every x^m1 P^n y^m2 that uses them.
+    """
+    knot, knot_powers = knot_trace(cfg), [TracePoly.constant(1)]
+    for idx in indices:
+        if isinstance(idx, Deg0):
+            while len(knot_powers) <= idx.n:
+                knot_powers.append(knot_powers[-1] * knot)
+            yield TracePoly.x() ** idx.m1 * knot_powers[idx.n] * TracePoly.y() ** idx.m2
+        elif isinstance(idx, DegK):
+            yield TracePoly.z() ** (idx.k - 1) * trace_word(idx.j1, idx.j2)
+        else:
+            raise TypeError(f"not a graded index: {idx!r}")
 
 
 def sine_matrix(cfg: TorusKnotConfig, k: int = 1) -> np.ndarray:

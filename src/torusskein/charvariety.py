@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .algebra import TracePoly, UniPoly, chebyshev
+from .algebra import TracePoly, UniPoly, chebyshev, chebyshev_terms
 
 
 @dataclass(frozen=True)
@@ -146,18 +147,6 @@ def leading_coeff_vector(f: TracePoly, d: int, cfg: TorusKnotConfig) -> list[flo
     return out
 
 
-def abelian_meeting_points(pair: AdmissiblePair, cfg: TorusKnotConfig) -> tuple[float, float]:
-    """z-values where the abelian line meets the component of the pair.
-
-    These are 2*cos(k*pi/q + l*pi/p) and 2*cos(k*pi/q - l*pi/p): the two
-    diagonal (hence reducible) points on the line x = x_c, y = y_c.
-    """
-    a = math.pi * pair.k / cfg.q
-    b = math.pi * pair.l / cfg.p
-    return (2.0 * math.cos(a + b), 2.0 * math.cos(a - b))
-
-
 def knot_trace(cfg: TorusKnotConfig) -> TracePoly:
     """tr(u^q) = tr(v^p) as a polynomial in x (the class of the knot)."""
-    tq = chebyshev(cfg.q)
-    return TracePoly({(i, 0, 0): c for i, c in enumerate(tq.coeffs) if c})
+    return next(islice(chebyshev_terms(TracePoly.x()), cfg.q, None))

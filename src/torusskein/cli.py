@@ -15,7 +15,7 @@ import sys
 from .algebra import chebyshev
 from .assembly import (
     DEFAULT_SEED,
-    basis_to_trace,
+    basis_traces,
     deg0_basis,
     deg0_degree,
     degk_orbits,
@@ -25,13 +25,18 @@ from .assembly import (
 )
 from .charvariety import TorusKnotConfig, admissible_pairs, components
 from .skein import STATE_BUDGET, AnnularTangle, BudgetError, PlanarityError, resolve
-from .traces import trace_word
+from .traces import check_word, trace_word
 
-CHEBYSHEV_BUDGET = 2 ** 10  # largest n; `chebyshev 1024` takes 0.7 s
+CHEBYSHEV_BUDGET = 2 ** 10  # largest n; `chebyshev 1024` takes 0.6 s
 # bound on (D+1)(D//p+1)^2 at `skein-basis --degree 0 --bound D`: about D
-# traces, each a power of degree at most D/p in x, taken by squaring;
-# `skein-basis 3 2 --degree 0 --bound 668` takes 1.1 s
+# traces, each a power of degree at most D/p in x taken afresh; the listing
+# shares the powers, so the bound is loose: `skein-basis 3 2 --degree 0
+# --bound 668` takes 0.5 s
 BASIS_BUDGET = 2 ** 25
+# bound on the sum of (j1+1)(j2+1) over the orbits of `skein-basis --degree K`,
+# K >= 1, about twice the listing's terms; `skein-basis 41 47 --degree 1`
+# (sum 257,140) takes 1.1 s
+ORBIT_BUDGET = 2 ** 18
 
 
 def positive_int(text: str) -> int:
@@ -96,32 +101,39 @@ def cmd_skein_basis(args) -> int:
                 f"degree-0 basis of ({cfg.p},{cfg.q}) to degree {bound}: (D+1)(D//p+1)^2 = "
                 f"{work} exceeds the basis budget of {BASIS_BUDGET}")
         basis = deg0_basis(cfg, bound)
+        listing = zip(basis, basis_traces(basis, cfg))
         if args.json:
             print(json.dumps(
                 [{"m1": b.m1, "n": b.n, "m2": b.m2,
                   "degree": deg0_degree(b, cfg),
-                  "trace": str(basis_to_trace(b, cfg))} for b in basis],
+                  "trace": str(f)} for b, f in listing],
                 indent=2, sort_keys=True))
             return 0
         print(f"degree-0 basis of the ({cfg.p},{cfg.q}) skein module, "
               f"leading degree <= {bound}:")
-        for b in basis:
-            print(f"  x^{b.m1} P^{b.n} y^{b.m2}  (degree {deg0_degree(b, cfg)})  "
-                  f"-> {basis_to_trace(b, cfg)}")
+        for b, f in listing:
+            print(f"  x^{b.m1} P^{b.n} y^{b.m2}  (degree {deg0_degree(b, cfg)})  -> {f}")
         return 0
     orbits = degk_orbits(cfg, args.degree)
+    for o in orbits:
+        check_word(o.j1, o.j2)
+    work = sum((o.j1 + 1) * (o.j2 + 1) for o in orbits)
+    if work > ORBIT_BUDGET:
+        raise BudgetError(
+            f"degree-{args.degree} orbits of ({cfg.p},{cfg.q}): the sum of (j1+1)(j2+1) = "
+            f"{work} exceeds the orbit budget of {ORBIT_BUDGET}")
+    listing = zip(orbits, basis_traces(orbits, cfg))
     if args.json:
         print(json.dumps(
             [{"k": o.k, "j1": o.j1, "j2": o.j2,
               "partner": list(orbit_partner(o, cfg)),
-              "trace": str(basis_to_trace(o, cfg))} for o in orbits],
+              "trace": str(f)} for o, f in listing],
             indent=2, sort_keys=True))
         return 0
     print(f"degree-{args.degree} basis orbits for ({cfg.p},{cfg.q}): "
           f"{len(orbits)} orbit(s)")
-    for o in orbits:
-        print(f"  {{({o.j1},{o.j2}), {orbit_partner(o, cfg)}}} "
-              f"-> {basis_to_trace(o, cfg)}")
+    for o, f in listing:
+        print(f"  {{({o.j1},{o.j2}), {orbit_partner(o, cfg)}}} -> {f}")
     return 0
 
 

@@ -229,28 +229,14 @@ class SkeinElement:
 
     __slots__ = ("endpoints", "terms")
 
-    def __init__(self, endpoints: int, terms=None):
-        clean: dict[Multicurve, Laurent] = {}
-        if terms:
-            for mc, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not isinstance(c, Laurent):
-                    c = Laurent({0: c}) if c else Laurent()
-                if c:
-                    prev = clean.get(mc)
-                    s = prev + c if prev is not None else c
-                    if s:
-                        clean[mc] = s
-                    else:
-                        clean.pop(mc, None)
+    def __init__(self, endpoints: int, terms: Mapping[Multicurve, Laurent]):
         object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {mc: c for mc, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("SkeinElement values are immutable")
 
-    def scale(self, c) -> "SkeinElement":
-        if not isinstance(c, Laurent):
-            c = Laurent({0: c})
+    def scale(self, c: Laurent) -> "SkeinElement":
         return SkeinElement(self.endpoints, {mc: v * c for mc, v in self.terms.items()})
 
     def __eq__(self, other):

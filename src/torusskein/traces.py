@@ -7,9 +7,10 @@
    sum_{i,j} tr(u^i v^j) s^i t^j =
    (2 - s x - t y + s t z) / ((1 - s x + s^2)(1 - t y + t^2)),
    whose denominators are the characteristic polynomials det(1 - s u) and
-   det(1 - t v).  The numerator pairing (x with s, y with t) is the one
-   consistent with x = tr(u); the tests build the flipped pairing
-   themselves, as a deliberately wrong negative control.
+   det(1 - t v); their inverses are the second-kind Chebyshev series of
+   :func:`~torusskein.algebra.chebyshev_terms`.  The numerator pairing (x
+   with s, y with t) is the one consistent with x = tr(u); the tests build
+   the flipped pairing themselves, as a deliberately wrong negative control.
 3. :func:`numeric_stack` -- explicit 2x2 matrices for representations on
    chosen irreducible components, one per sample, for float cross-checks;
    :func:`numeric_rep` is a stack of one.
@@ -35,10 +36,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .algebra import TracePoly
+from .algebra import TracePoly, chebyshev_terms
 from .charvariety import AdmissiblePair, Component, TorusKnotConfig
 from .skein import BudgetError
 
@@ -46,20 +48,25 @@ SERIES_MAX = 16
 WORD_BUDGET = 2 ** 12  # bound on (i+1)(j+1); `trace-poly 63 63` takes 0.4 s
 
 
+def check_word(i: int, j: int) -> None:
+    """Raise BudgetError when tr(u^i v^j) has (i+1)(j+1) over WORD_BUDGET."""
+    if (i + 1) * (j + 1) > WORD_BUDGET:
+        raise BudgetError(
+            f"tr(u^{i} v^{j}): (i+1)(j+1) = {(i + 1) * (j + 1)} exceeds the "
+            f"word budget of {WORD_BUDGET}")
+
+
 @lru_cache(maxsize=None)
 def trace_word(i: int, j: int) -> TracePoly:
     """tr(u^i v^j) as an exact polynomial in x, y, z (i, j >= 0).
 
     For i, j >= 1 the result has z-degree exactly 1.  It has about
-    (i+1)(j+1)/2 terms; BudgetError refuses (i+1)(j+1) over WORD_BUDGET
-    before anything is built.
+    (i+1)(j+1)/2 terms; :func:`check_word` refuses an oversized word before
+    anything is built.
     """
     if i < 0 or j < 0:
         raise ValueError("exponents must be nonnegative")
-    if (i + 1) * (j + 1) > WORD_BUDGET:
-        raise BudgetError(
-            f"tr(u^{i} v^{j}): (i+1)(j+1) = {(i + 1) * (j + 1)} exceeds the "
-            f"word budget of {WORD_BUDGET}")
+    check_word(i, j)
     if (i, j) == (0, 0):
         return TracePoly.constant(2)
     if (i, j) == (1, 0):
@@ -131,16 +138,6 @@ def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
     return acc[:, order].reshape(-1, n, n)
 
 
-def _second_kind(gen: TracePoly, n: int) -> list[TracePoly]:
-    """S_0..S_n with S_0 = 1, S_1 = gen, S_{m+1} = gen*S_m - S_{m-1}."""
-    out = [TracePoly.constant(1)]
-    if n >= 1:
-        out.append(gen)
-    for _ in range(2, n + 1):
-        out.append(gen * out[-1] - out[-2])
-    return out
-
-
 @lru_cache(maxsize=None)
 def series_table(max_i: int, max_j: int) -> tuple:
     """Power-series coefficients G[i][j] of the trace generating function.
@@ -155,34 +152,15 @@ def series_table(max_i: int, max_j: int) -> tuple:
     """
     if max_i > SERIES_MAX or max_j > SERIES_MAX:
         raise ValueError(f"series bounds are limited to {SERIES_MAX}")
-    sx = _second_kind(TracePoly.x(), max_i)
-    sy = _second_kind(TracePoly.y(), max_j)
-    zero = TracePoly()
-
-    def S(table, m):
-        return table[m] if m >= 0 else zero
-
     x, y, z = TracePoly.x(), TracePoly.y(), TracePoly.z()
+    # [S_-1, S_0, ..., S_n], with S_-1 = 0
+    sx = [TracePoly(), *islice(chebyshev_terms(x, 1), max_i + 1)]
+    sy = [TracePoly(), *islice(chebyshev_terms(y, 1), max_j + 1)]
     return tuple(
-        tuple(2 * S(sx, i) * S(sy, j)
-              - x * S(sx, i - 1) * S(sy, j)
-              - y * S(sx, i) * S(sy, j - 1)
-              + z * S(sx, i - 1) * S(sy, j - 1)
+        tuple(2 * sx[i + 1] * sy[j + 1] - x * sx[i] * sy[j + 1]
+              - y * sx[i + 1] * sy[j] + z * sx[i] * sy[j]
               for j in range(max_j + 1))
         for i in range(max_i + 1))
-
-
-def leading_z_coeff(i: int, j: int, pair: AdmissiblePair, cfg: TorusKnotConfig) -> float:
-    """Closed-form z-coefficient of tr(u^i v^j) on one irreducible component.
-
-    Equals sin(i k pi/q) sin(j l pi/p) / (sin(k pi/q) sin(l pi/p)); requires
-    i, j >= 1.
-    """
-    if i < 1 or j < 1:
-        raise ValueError("the closed form needs i, j >= 1")
-    a = math.pi * pair.k / cfg.q
-    b = math.pi * pair.l / cfg.p
-    return (math.sin(i * a) * math.sin(j * b)) / (math.sin(a) * math.sin(b))
 
 
 def validate_stack(us, vs, pairs, zs, cfg, tol_det: float = 1e-12,

@@ -1,8 +1,11 @@
+import math
+from itertools import islice
+
 import hypothesis
 import pytest
 
 from torusskein import skein, sprime
-from torusskein.algebra import TracePoly
+from torusskein.algebra import TracePoly, chebyshev_terms
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60)
@@ -38,17 +41,35 @@ def flipped_series_table(max_i, max_j):
     entries are not the traces.  A negative control for the trace checks.
     """
     x, y, z = TracePoly.x(), TracePoly.y(), TracePoly.z()
-
-    def second_kind(gen, n):
-        # [S_-1, S_0, ..., S_n]: S_-1 = 0, S_0 = 1, S_(m+1) = gen*S_m - S_(m-1)
-        out = [TracePoly(), TracePoly.constant(1)]
-        while len(out) < n + 2:
-            out.append(gen * out[-1] - out[-2])
-        return out
-
-    sx, sy = second_kind(x, max_i), second_kind(y, max_j)
+    # [S_-1, S_0, ..., S_n], with S_-1 = 0
+    sx = [TracePoly(), *islice(chebyshev_terms(x, 1), max_i + 1)]
+    sy = [TracePoly(), *islice(chebyshev_terms(y, 1), max_j + 1)]
     return tuple(
         tuple(2 * sx[i + 1] * sy[j + 1] - x * sx[i + 1] * sy[j]
               - y * sx[i] * sy[j + 1] + z * sx[i] * sy[j]
               for j in range(max_j + 1))
         for i in range(max_i + 1))
+
+
+def leading_z_coeff(i, j, pair, cfg):
+    """Closed-form z-coefficient of tr(u^i v^j) on one irreducible component.
+
+    Equals sin(i k pi/q) sin(j l pi/p) / (sin(k pi/q) sin(l pi/p)); requires
+    i, j >= 1.  An oracle for the restrictions of ``traces.trace_word``.
+    """
+    if i < 1 or j < 1:
+        raise ValueError("the closed form needs i, j >= 1")
+    a = math.pi * pair.k / cfg.q
+    b = math.pi * pair.l / cfg.p
+    return (math.sin(i * a) * math.sin(j * b)) / (math.sin(a) * math.sin(b))
+
+
+def abelian_meeting_points(pair, cfg):
+    """z-values where the abelian line meets the component of the pair.
+
+    These are 2*cos(k*pi/q + l*pi/p) and 2*cos(k*pi/q - l*pi/p): the two
+    diagonal (hence reducible) points on the line x = x_c, y = y_c.
+    """
+    a = math.pi * pair.k / cfg.q
+    b = math.pi * pair.l / cfg.p
+    return (2.0 * math.cos(a + b), 2.0 * math.cos(a - b))

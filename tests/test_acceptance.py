@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from conftest import leading_z_coeff
 
 from torusskein.algebra import Laurent, UniPoly
 from torusskein.charvariety import (
@@ -46,7 +47,7 @@ from torusskein.sprime import (
     rotation_norm_exponent,
     winding_part,
 )
-from torusskein.traces import leading_z_coeff, numeric_rep, series_table, trace_word
+from torusskein.traces import numeric_rep, series_table, trace_word
 
 TRACE_CONFIGS = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 SKEIN_GRID = [(p, k) for p in (2, 3, 5) for k in (1, 2, 3)]

@@ -1,6 +1,9 @@
 """Exact ring arithmetic, Chebyshev-style trace polynomials, substitution."""
 
+import inspect
+import sys
 from fractions import Fraction
+from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
@@ -12,7 +15,7 @@ from torusskein.algebra import (
     TracePoly,
     UniPoly,
     chebyshev,
-    chebyshev_in,
+    chebyshev_terms,
 )
 from torusskein.sprime import reduction_relation
 
@@ -102,12 +105,16 @@ def test_chebyshev_degree_five():
 
 
 def test_chebyshev_high_degree():
-    # the memo is filled bottom-up, past the interpreter's recursion limit
-    chebyshev.cache_clear()
-    t = chebyshev(600)
+    # the recursion is a loop: a degree past the interpreter's recursion
+    # limit nests a bounded number of frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        t = chebyshev(600)
+    finally:
+        sys.setrecursionlimit(limit)
     assert t.degree == 600 and t.coeffs[-1] == 1
     assert t.evaluate(2) == 2 and t.evaluate(-2) == 2
-    assert chebyshev.cache_info().currsize == 601
 
 
 def test_chebyshev_product_rule():
@@ -122,9 +129,23 @@ def test_chebyshev_at_plus_minus_two():
         assert chebyshev(n).evaluate(-2) == 2 * (-1) ** n
 
 
+def test_chebyshev_terms_over_s():
+    # both kinds over s, in one pass each: T_n is chebyshev(n), S_n has
+    # S_n(t + 1/t) = t^n + t^(n-2) + ... + t^-n, and T_n = S_n - S_(n-2)
+    s = UniPoly.variable("s")
+    t_plus_tinv = Laurent({1: 1, -1: 1})
+    first = list(islice(chebyshev_terms(s), 21))
+    second = list(islice(chebyshev_terms(s, 1), 21))
+    for n in range(21):
+        assert first[n] == chebyshev(n)
+        assert second[n].evaluate(t_plus_tinv) == Laurent({e: 1 for e in range(-n, n + 1, 2)})
+        if n >= 2:
+            assert first[n] == second[n] - second[n - 2]
+
+
 def test_variable_tag_mismatch_is_error():
     try:
-        chebyshev(2) + chebyshev_in("y", 2)
+        chebyshev(2) + UniPoly("y", (-2, 0, 1))
     except ValueError:
         pass
     else:

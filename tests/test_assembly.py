@@ -3,12 +3,13 @@
 import json
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
 from conftest import flipped_series_table
 
-from torusskein.algebra import TracePoly
+from torusskein.algebra import TracePoly, chebyshev_terms
 from torusskein.charvariety import (
     Component,
     TorusKnotConfig,
@@ -23,7 +24,7 @@ from torusskein.assembly import (
     Deg0,
     DegK,
     VerificationReport,
-    basis_to_trace,
+    basis_traces,
     deg0_basis,
     deg0_degree,
     degk_orbits,
@@ -101,8 +102,8 @@ def test_swapped_exponent_ranges_collide():
 def test_deg0_abelian_leading_degree():
     for cfg in (TorusKnotConfig(2, 3), TorusKnotConfig(3, 4)):
         sx, sy, sz = abelian_parametrization(cfg)
-        for idx in deg0_basis(cfg, 2 * cfg.p * cfg.q):
-            f = basis_to_trace(idx, cfg)
+        basis = deg0_basis(cfg, 2 * cfg.p * cfg.q)
+        for idx, f in zip(basis, basis_traces(basis, cfg)):
             assert f.substitute(sx, sy, sz).degree == deg0_degree(idx, cfg)
 
 
@@ -127,23 +128,20 @@ def test_orbits_are_free():
 # -- trace functions of basis elements ----------------------------------------
 
 
-def test_basis_to_trace_examples():
+def test_basis_traces_examples():
     cfg = TorusKnotConfig(2, 3)
-    assert basis_to_trace(Deg0(0, 0, 0), cfg) == TracePoly.constant(1)
-    assert basis_to_trace(DegK(1, 1, 1), cfg) == TracePoly.z()
+    assert list(basis_traces([Deg0(0, 0, 0), DegK(1, 1, 1)], cfg)) == [
+        TracePoly.constant(1), TracePoly.z()]
     for k in (1, 2, 3):
-        for orb in degk_orbits(cfg, k):
-            assert degree(basis_to_trace(orb, cfg), cfg) == k
+        for f in basis_traces(degk_orbits(cfg, k), cfg):
+            assert degree(f, cfg) == k
 
 
 def test_knot_trace_two_expressions_agree():
     # T_q(x) and T_p(y) restrict identically on every component
-    from torusskein.algebra import chebyshev_in
     for cfg in (TorusKnotConfig(2, 3), TorusKnotConfig(3, 5)):
-        tq = chebyshev_in("x", cfg.q)
-        tp = chebyshev_in("y", cfg.p)
-        fx = TracePoly({(i, 0, 0): c for i, c in enumerate(tq.coeffs) if c})
-        fy = TracePoly({(0, i, 0): c for i, c in enumerate(tp.coeffs) if c})
+        fx = next(islice(chebyshev_terms(TracePoly.x()), cfg.q, None))
+        fy = next(islice(chebyshev_terms(TracePoly.y()), cfg.p, None))
         for comp in [Component(cfg, pr) for pr in admissible_pairs(cfg)]:
             rx = restrict_to_component(fx, comp)
             ry = restrict_to_component(fy, comp)
@@ -181,8 +179,7 @@ def test_sine_matrix_matches_leading_coefficients():
         orbits = degk_orbits(cfg, 1)
         m = sine_matrix(cfg)
         lead = np.array([
-            leading_coeff_vector(basis_to_trace(orb, cfg), 1, cfg)
-            for orb in orbits
+            leading_coeff_vector(f, 1, cfg) for f in basis_traces(orbits, cfg)
         ])
         for c, pair in enumerate(pairs):
             factor = 2 * math.sin(math.pi * pair.k / cfg.q) * math.sin(math.pi * pair.l / cfg.p)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
+from conftest import abelian_meeting_points
 from hypothesis import given
 
 from torusskein.algebra import TracePoly, UniPoly, chebyshev
@@ -13,7 +14,6 @@ from torusskein.charvariety import (
     AdmissiblePair,
     Component,
     TorusKnotConfig,
-    abelian_meeting_points,
     abelian_parametrization,
     admissible_pairs,
     components,
@@ -133,7 +133,7 @@ def test_degree_additive_on_generic_products():
 def test_degree_additive_without_common_leading_zero(f, g):
     cfg = TorusKnotConfig(2, 5)
     df, dg = degree(f, cfg), degree(g, cfg)
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         return
     lf = leading_coeff_vector(f, df, cfg)
     lg = leading_coeff_vector(g, dg, cfg)
@@ -219,3 +219,10 @@ def test_knot_trace_is_constant_on_components():
             r = restrict_to_component(f, Component(cfg, pair))
             assert r.degree == 0
             assert abs(r[0] - 2 * (-1) ** pair.k) < 1e-9
+
+
+def test_knot_trace_is_the_trace_of_a_power():
+    # T_q run over x is the trace recursion's tr(u^q)
+    from torusskein.traces import trace_word
+    for cfg in coprime_configs(12):
+        assert knot_trace(cfg) == trace_word(cfg.q, 0), cfg

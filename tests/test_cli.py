@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from torusskein import cli, skein
-from torusskein.algebra import chebyshev
-from torusskein.cli import BASIS_BUDGET, CHEBYSHEV_BUDGET, main
+from torusskein.cli import BASIS_BUDGET, CHEBYSHEV_BUDGET, ORBIT_BUDGET, main
 from torusskein.traces import WORD_BUDGET, trace_word
 
 
@@ -26,18 +25,20 @@ def test_chebyshev_output(capsys):
     assert out == "s^3 - 3*s\n"
 
 
-def test_chebyshev_refuses_past_its_budget(capsys):
-    chebyshev.cache_clear()
+def unreachable(*args):
+    raise AssertionError("built past the budget")
+
+
+def test_chebyshev_refuses_past_its_budget(capsys, monkeypatch):
+    # refused before any polynomial is built
+    monkeypatch.setattr(cli, "chebyshev", unreachable)
     code, out, err = run_cli(capsys, "chebyshev", "20000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(CHEBYSHEV_BUDGET) in err
-    assert chebyshev.cache_info().currsize == 0
 
 
 def test_chebyshev_budget_accepts_its_largest_case(capsys):
-    chebyshev.cache_clear()
     code, out, _ = run_cli(capsys, "chebyshev", str(CHEBYSHEV_BUDGET))
-    chebyshev.cache_clear()  # the memo holds every lower T_n
     assert code == 0 and out.startswith(f"s^{CHEBYSHEV_BUDGET} - ")
     code, out, _ = run_cli(capsys, "chebyshev", str(CHEBYSHEV_BUDGET + 1))
     assert code == 2 and out == ""
@@ -159,8 +160,6 @@ def test_skein_basis_degree_one(capsys):
 
 def test_skein_basis_refuses_past_its_budget(capsys, monkeypatch):
     # the degree-0 listing is refused before any index or trace is built
-    def unreachable(*args):
-        raise AssertionError("built past the budget")
     monkeypatch.setattr(cli, "deg0_basis", unreachable)
     code, out, err = run_cli(capsys, "skein-basis", "2", "3", "--degree", "0",
                              "--bound", "100000000")
@@ -175,6 +174,25 @@ def test_skein_basis_budget_accepts_its_largest_case(capsys):
     assert out.splitlines()[-1].startswith("  x^2 P^84 y^1  (degree 511)")
     code, out, _ = run_cli(capsys, "skein-basis", "2", "3", "--degree", "0", "--bound", "512")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("p, q, budget", [(89, 97, WORD_BUDGET), (41, 48, ORBIT_BUDGET)])
+def test_skein_basis_refuses_orbits_past_their_budgets(capsys, monkeypatch, p, q, budget):
+    # tr(u^46 v^87) of (89, 97) is past the word budget, and the orbit words
+    # of (41, 48) together past the orbit budget: refused before any trace
+    monkeypatch.setattr(cli, "basis_traces", unreachable)
+    for extra in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "skein-basis", str(p), str(q), "--degree", "1", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(budget) in err
+
+
+def test_skein_basis_orbit_budget_accepts_its_largest_case(capsys):
+    # the orbit words of (41, 47) sum to 257,140, at most the budget
+    code, out, _ = run_cli(capsys, "skein-basis", "41", "47", "--degree", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "degree-1 basis orbits for (41,47): 920 orbit(s)"
+    assert out.splitlines()[-1].startswith("  {(23,40), (24, 1)} -> ")
 
 
 def test_verify_exit_codes(capsys):

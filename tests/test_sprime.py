@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from itertools import islice
 
 import pytest
 from conftest import clear_sprime_caches
 
 from torusskein import skein, sprime
-from torusskein.algebra import DELTA, Laurent, UniPoly
+from torusskein.algebra import DELTA, Laurent, UniPoly, chebyshev_terms
 from torusskein.assembly import verify_theorem
 from torusskein.charvariety import TorusKnotConfig
 from torusskein.skein import (
@@ -182,22 +183,12 @@ def test_relation_degrees_and_units():
                 assert want == [ZERO] * n + list(rel.coeffs), (slope, k, n)
 
 
-def _second_kind(n):
-    """[S_0, ..., S_(n-1)] as coefficient lists, S the Chebyshev polynomial of
-    the second kind: S_0 = 1, S_1 = w, S_(m+1) = w S_m - S_(m-1)."""
-    cheb = [[1], [0, 1]]
-    while len(cheb) < n:
-        up = [0] + cheb[-1]
-        cheb.append([a - b for a, b in zip(up, cheb[-2] + [0, 0])])
-    return cheb[:n]
-
-
 def test_relation_closed_form():
     # the relation is -A^(2k) S_(slope-1)(w)
-    cheb = _second_kind(8)
+    cheb = list(islice(chebyshev_terms(UniPoly.variable("w"), 1), 8))
     for slope in range(2, 9):
         for k in (1, 2, 3):
-            want = UniPoly("w", [-A(2 * k) * c for c in cheb[slope - 1]])
+            want = cheb[slope - 1] * -A(2 * k)
             assert reduction_relation(slope, k) == want, (slope, k)
 
 
@@ -406,7 +397,7 @@ def test_basis_coordinates_match_basis_tangles():
     # the basis read off the relations equals the quotient coordinates of
     # each basis tangle's own full (unpruned) state sum, and the closed form
     # e(k, j) = A^(1-j) S_(j-1)(w)
-    cheb = _second_kind(6)
+    cheb = list(islice(chebyshev_terms(UniPoly.variable("w"), 1), 6))
     for slope in range(2, 8):
         for k in (1, 2, 3):
             if (slope, k) == (7, 3):
@@ -415,7 +406,7 @@ def test_basis_coordinates_match_basis_tangles():
             for j in range(1, slope):
                 want = quotient_coordinates(resolve(basis_tangle(k, j, slope)), slope, k)
                 assert coords[j - 1] == want, (slope, k, j)
-                closed = UniPoly("w", [A(1 - j) * c for c in cheb[j - 1]])
+                closed = cheb[j - 1] * A(1 - j)
                 assert coords[j - 1] == closed, (slope, k, j)
 
 

@@ -6,19 +6,17 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import flipped_series_table
+from conftest import abelian_meeting_points, flipped_series_table, leading_z_coeff
 
-from torusskein.algebra import TracePoly, chebyshev_in
+from torusskein.algebra import TracePoly, chebyshev_terms
 from torusskein.charvariety import (
     AdmissiblePair,
     Component,
     TorusKnotConfig,
-    abelian_meeting_points,
     admissible_pairs,
 )
 from torusskein.traces import (
     NumericRep,
-    leading_z_coeff,
     numeric_rep,
     numeric_stack,
     numeric_traces,
@@ -53,13 +51,12 @@ def test_trace_word_literals():
 
 
 def test_pure_powers_are_chebyshev():
+    # the Chebyshev recursion run over x and over y, against the trace recursion
+    tx = chebyshev_terms(TracePoly.x())
+    ty = chebyshev_terms(TracePoly.y())
     for n in range(0, 13):
-        tx = chebyshev_in("x", n)
-        want = TracePoly({(i, 0, 0): c for i, c in enumerate(tx.coeffs) if c})
-        assert trace_word(n, 0) == want
-        ty = chebyshev_in("y", n)
-        want = TracePoly({(0, i, 0): c for i, c in enumerate(ty.coeffs) if c})
-        assert trace_word(0, n) == want
+        assert next(tx) == trace_word(n, 0)
+        assert next(ty) == trace_word(0, n)
 
 
 def test_z_degree_exactly_one():
@@ -73,7 +70,8 @@ def test_z_degree_exactly_one():
 def test_conjugation_symmetry():
     for i in range(0, 9):
         for j in range(0, 9):
-            assert trace_word(i, j).swap_xy() == trace_word(j, i)
+            swapped = {(b, a, c): v for (a, b, c), v in trace_word(i, j).terms.items()}
+            assert TracePoly(swapped) == trace_word(j, i)
 
 
 @pytest.mark.parametrize("i, j", [(150, 0), (0, 150), (150, 3)])
