@@ -26,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,12 +41,10 @@ from .charvariety import (
 from .skein import BudgetError
 from .sprime import (
     basis_coordinates,
-    normalization_shifts,
     normalized_basis_coordinates,
-    rotated_basis,
+    normalized_rotated_basis,
     rotation_exponents,
     rotation_power,
-    times_A,
 )
 from .traces import numeric_stack, numeric_traces, series_table, trace_values, trace_word
 
@@ -75,8 +74,8 @@ def deg0_degree(idx: Deg0, cfg: TorusKnotConfig) -> int:
     return cfg.p * idx.m1 + cfg.p * cfg.q * idx.n + cfg.q * idx.m2
 
 
-def deg0_basis(cfg: TorusKnotConfig, degree_bound: int) -> list[Deg0]:
-    """All indices with leading degree at most the bound, sorted by degree.
+def deg0_exponents(cfg: TorusKnotConfig, degree_bound: int) -> dict[int, tuple]:
+    """{leading degree: (m1, n, m2)} of the indices of :func:`deg0_basis`.
 
     The degrees are pairwise distinct by the residue-system argument; a
     collision would be a hard failure and raises.
@@ -95,7 +94,12 @@ def deg0_basis(cfg: TorusKnotConfig, degree_bound: int) -> list[Deg0]:
                     raise RuntimeError(
                         f"degree collision at {Deg0(*out[d])} and {Deg0(m1, n, m2)}")
                 out[d] = (m1, n, m2)
-    return [Deg0(*out[d]) for d in sorted(out)]
+    return dict(sorted(out.items()))
+
+
+def deg0_basis(cfg: TorusKnotConfig, degree_bound: int) -> list[Deg0]:
+    """All indices with leading degree at most the bound, sorted by degree."""
+    return [Deg0(*e) for e in deg0_exponents(cfg, degree_bound).values()]
 
 
 def orbit_partner(idx: DegK, cfg: TorusKnotConfig) -> tuple[int, int]:
@@ -140,19 +144,27 @@ def basis_traces(indices, cfg: TorusKnotConfig):
             raise TypeError(f"not a graded index: {idx!r}")
 
 
+@lru_cache(maxsize=None)
+def sine_table(n: int) -> np.ndarray:
+    """math.sin(m * math.pi / n) for m = 0..(n-1)^2, read-only: every knot
+    with p or q equal to n shares it."""
+    table = np.array([math.sin(m * math.pi / n) for m in range((n - 1) ** 2 + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def sine_matrix(cfg: TorusKnotConfig, k: int = 1) -> np.ndarray:
     """Matrix of symmetrized sine products, orbits by admissible pairs.
 
     Entry (orbit, pair) sums sin(j1*k*pi/q) * sin(j2*l*pi/p) over the two
     orbit representatives; the matrix does not depend on the grade k.  Each
-    sine is read from a table of math.sin(m * math.pi / n) by the integer
-    m = j1*k (or j2*l), the argument the per-entry expression rounds.
+    sine is read from the cached :func:`sine_table` of q (or p) by the
+    integer m = j1*k (or j2*l), the argument the per-entry expression rounds.
     """
     # [orbit, representative, axis]: the two winding pairs of each orbit
     js = np.array([[(o.j1, o.j2), orbit_partner(o, cfg)] for o in degk_orbits(cfg, k)])
     ks, ls = np.array([(pair.k, pair.l) for pair in admissible_pairs(cfg)]).T
-    sin_q, sin_p = (np.array([math.sin(m * math.pi / n) for m in range((n - 1) ** 2 + 1)])
-                    for n in (cfg.q, cfg.p))
+    sin_q, sin_p = sine_table(cfg.q), sine_table(cfg.p)
     prods = sin_q[js[..., :1] * ks] * sin_p[js[..., 1:] * ls]
     # sum() over the two representatives starts from 0
     return 0.0 + prods[:, 0] + prods[:, 1]
@@ -234,10 +246,9 @@ def _check_admissible_count(cfg):
 
 def _check_deg0_degrees(cfg):
     bound = 4 * cfg.p * cfg.q
-    basis = deg0_basis(cfg, bound)  # raises on collision
-    degrees = [deg0_degree(idx, cfg) for idx in basis]
+    degrees = list(deg0_exponents(cfg, bound))  # raises on collision
     return len(set(degrees)) == len(degrees), {
-        "bound": bound, "count": len(basis)}
+        "bound": bound, "count": len(degrees)}
 
 
 def _check_orbit_count(cfg, max_k):
@@ -320,10 +331,8 @@ def _check_rotation_exponents(slope, max_k):
 def _check_normalized_rotation(slope, max_k):
     for k in range(1, max_k + 1):
         norm = normalized_basis_coordinates(slope, k)
-        # the rotation is linear: it sends A^(n_j) e_j to A^(n_j) rotate(e_j)
-        images = zip(rotated_basis(slope, k), normalization_shifts(slope, k))
-        for j, (image, n) in enumerate(images, start=1):
-            if times_A(image, n) != norm[slope - j - 1]:
+        for j, image in enumerate(normalized_rotated_basis(slope, k), start=1):
+            if image != norm[slope - j - 1]:
                 return False, {"slope": slope, "k": k, "j": j}
     return True, {"slope": slope, "k_range": max_k}
 

@@ -25,7 +25,7 @@ from .assembly import (
 )
 from .charvariety import TorusKnotConfig, admissible_pairs, components
 from .skein import STATE_BUDGET, AnnularTangle, BudgetError, PlanarityError, resolve
-from .traces import check_word, trace_word
+from .traces import WORD_BUDGET, check_word, trace_word
 
 CHEBYSHEV_BUDGET = 2 ** 10  # largest n; `chebyshev 1024` takes 0.6 s
 # bound on (D+1)(D//p+1)^2 at `skein-basis --degree 0 --bound D`: about D
@@ -37,6 +37,22 @@ BASIS_BUDGET = 2 ** 25
 # K >= 1, about twice the listing's terms; `skein-basis 41 47 --degree 1`
 # (sum 257,140) takes 1.1 s
 ORBIT_BUDGET = 2 ** 18
+
+
+def orbit_work(cfg: TorusKnotConfig, k: int) -> int:
+    """The sum of (j1+1)(j2+1) over the degree-k orbits, before any is built;
+    raises BudgetError at the first orbit word past the word budget, in lex
+    order.  The orbits (j1, j2) < (q-j1, p-j2) of a row j1 are j2 = 1..top."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    work = 0
+    for j1 in range(1, cfg.q // 2 + 1):
+        top = cfg.p - 1 if 2 * j1 < cfg.q else (cfg.p - 1) // 2  # p is odd if q = 2*j1
+        j2 = max(1, WORD_BUDGET // (j1 + 1))  # the least j2 with (j1+1)(j2+1) past it
+        if j2 <= top:
+            check_word(j1, j2)
+        work += (j1 + 1) * top * (top + 3) // 2  # (j1+1) times the sum of j2+1
+    return work
 
 
 def positive_int(text: str) -> int:
@@ -114,14 +130,12 @@ def cmd_skein_basis(args) -> int:
         for b, f in listing:
             print(f"  x^{b.m1} P^{b.n} y^{b.m2}  (degree {deg0_degree(b, cfg)})  -> {f}")
         return 0
-    orbits = degk_orbits(cfg, args.degree)
-    for o in orbits:
-        check_word(o.j1, o.j2)
-    work = sum((o.j1 + 1) * (o.j2 + 1) for o in orbits)
+    work = orbit_work(cfg, args.degree)
     if work > ORBIT_BUDGET:
         raise BudgetError(
             f"degree-{args.degree} orbits of ({cfg.p},{cfg.q}): the sum of (j1+1)(j2+1) = "
             f"{work} exceeds the orbit budget of {ORBIT_BUDGET}")
+    orbits = degk_orbits(cfg, args.degree)
     listing = zip(orbits, basis_traces(orbits, cfg))
     if args.json:
         print(json.dumps(

@@ -334,7 +334,15 @@ def normalization_shifts(slope: int, k: int) -> list[int]:
     return [-expo[j - 1] if 2 * j > slope else 0 for j in range(1, slope)]
 
 
-def normalized_basis_coordinates(slope: int, k: int) -> list[UniPoly]:
+@lru_cache(maxsize=None)
+def normalized_basis_coordinates(slope: int, k: int) -> tuple:
     """Basis elements rescaled so rotate(e_j) = e_(slope-j) exactly."""
-    return [times_A(e, n)
-            for e, n in zip(basis_coordinates(slope, k), normalization_shifts(slope, k))]
+    return tuple(times_A(e, n)
+                 for e, n in zip(basis_coordinates(slope, k), normalization_shifts(slope, k)))
+
+
+@lru_cache(maxsize=None)
+def normalized_rotated_basis(slope: int, k: int) -> tuple:
+    """Images rotate(A^(n_j) e_j) = A^(n_j) rotate(e_j) of the normalized basis."""
+    return tuple(times_A(image, n)
+                 for image, n in zip(rotated_basis(slope, k), normalization_shifts(slope, k)))

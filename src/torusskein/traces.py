@@ -19,11 +19,11 @@
 table of routes 1 and 3 at a stack of samples in one batch.  The exact
 route multiplies each term of every word once and adds each word's terms
 in order; the numeric route takes the powers of U and V for all samples
-in one matrix_power call per exponent and forms only the diagonal of
-each product U^i V^j.  Each value is bit-for-bit the one the per-entry
-:meth:`TracePoly.evaluate` or :meth:`NumericRep.trace` gives.  The exact
-polynomials have int coefficients, so routes 1 and 2 run in integer
-arithmetic.
+from squares shared by every exponent, bit for bit matrix_power's, and
+forms only the diagonal of each product U^i V^j.  Each value is bit for
+bit the per-entry :meth:`TracePoly.evaluate` or :meth:`NumericRep.trace`.
+The exact polynomials have int coefficients, so routes 1 and 2 run in
+integer arithmetic.
 
 The lru_cache memos behind trace_word, series_table and _term_layout
 (the words' terms laid out for the batch) are the only shared state in
@@ -248,17 +248,34 @@ def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) ->
     return NumericRep(us[0], vs[0], pair, complex(z_param), cfg)
 
 
+def matrix_powers(a: np.ndarray, top: int) -> list:
+    """[a^0, ..., a^top] of a stack of matrices, each bit for bit
+    np.linalg.matrix_power's: every square a^(2^b) is taken once, and a^n
+    folds the squares of the set bits of n, lowest first, as matrix_power
+    does past its shortcuts a^0, a^1 and a^3 = (a a) a."""
+    powers, squares = [np.linalg.matrix_power(a, 0), a], [a]
+    for n in range(2, top + 1):
+        high = n.bit_length() - 1
+        rest = n - (1 << high)
+        if not rest:
+            squares.append(squares[-1] @ squares[-1])
+        # matrix_power's running product over the lower bits of n is powers[rest]
+        powers.append(powers[rest] @ squares[high] if rest else squares[high])
+    if top >= 3:
+        powers[3] = squares[1] @ a  # after the folds 7, 11, ... that read a @ a^2
+    return powers[:top + 1]
+
+
 def numeric_traces(us, vs, max_i: int, max_j: int) -> np.ndarray:
     """Traces of U^i V^j for stacks of U and V, shape (S, max_i+1, max_j+1).
 
     Entry [s, i, j] is the trace of NumericRep.word(i, j) of sample s, bit
-    for bit: each power of the stacked U and V together is taken with one
-    matrix_power call, as ``word`` takes it, and only the two diagonal
-    entries of each product are formed, each summed as ``@`` sums it.
+    for bit: the powers of the stacked U and V are the matrix_power calls of
+    ``word`` (:func:`matrix_powers`), and only the two diagonal entries of
+    each product are formed, each summed as ``@`` sums it.
     """
     both = np.concatenate([us, vs])
-    powers = np.stack([np.linalg.matrix_power(both, n)
-                       for n in range(max(max_i, max_j) + 1)], axis=1)
+    powers = np.stack(matrix_powers(both, max(max_i, max_j)), axis=1)
     u = powers[:len(us), :max_i + 1, None]
     v = powers[len(us):, None, :max_j + 1]
     m00 = u[..., 0, 0] * v[..., 0, 0] + u[..., 0, 1] * v[..., 1, 0]

@@ -32,7 +32,6 @@ from torusskein.skein import (
     crossing,
     cup,
     kink_slices,
-    loop_slices,
     resolve,
     resolve_states,
 )

@@ -27,10 +27,12 @@ from torusskein.assembly import (
     basis_traces,
     deg0_basis,
     deg0_degree,
+    deg0_exponents,
     degk_orbits,
     orbit_partner,
     scaled_abs_det,
     sine_matrix,
+    sine_table,
     verify_dst,
     verify_theorem,
 )
@@ -82,6 +84,8 @@ def test_deg0_degrees_distinct_up_to_twelve():
         basis = deg0_basis(cfg, 4 * cfg.p * cfg.q)  # raises on any collision
         degs = [deg0_degree(b, cfg) for b in basis]
         assert len(set(degs)) == len(degs)
+        # the verify check reads the same degrees off plain ints
+        assert list(deg0_exponents(cfg, 4 * cfg.p * cfg.q)) == degs, cfg
 
 
 def test_swapped_exponent_ranges_collide():
@@ -210,6 +214,13 @@ def test_sine_matrix_equals_per_entry_sines_bit_for_bit():
         got, want = sine_matrix(cfg), reference_sine_matrix(cfg)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), cfg
+
+
+def test_sine_table_is_shared_and_read_only():
+    table = sine_table(7)
+    assert sine_table(7) is table
+    with pytest.raises(ValueError):
+        table[1] = 0.0
 
 
 def test_dst_invertible_up_to_twelve():

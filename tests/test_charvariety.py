@@ -9,7 +9,7 @@ import pytest
 from conftest import abelian_meeting_points
 from hypothesis import given
 
-from torusskein.algebra import TracePoly, UniPoly, chebyshev
+from torusskein.algebra import TracePoly, UniPoly
 from torusskein.charvariety import (
     AdmissiblePair,
     Component,

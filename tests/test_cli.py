@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from torusskein import cli, skein
-from torusskein.cli import BASIS_BUDGET, CHEBYSHEV_BUDGET, ORBIT_BUDGET, main
-from torusskein.traces import WORD_BUDGET, trace_word
+from torusskein.assembly import degk_orbits
+from torusskein.charvariety import TorusKnotConfig
+from torusskein.cli import BASIS_BUDGET, CHEBYSHEV_BUDGET, ORBIT_BUDGET, main, orbit_work
+from torusskein.traces import WORD_BUDGET, check_word, trace_word
 
 
 def run_cli(capsys, *argv):
@@ -176,15 +178,45 @@ def test_skein_basis_budget_accepts_its_largest_case(capsys):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("p, q, budget", [(89, 97, WORD_BUDGET), (41, 48, ORBIT_BUDGET)])
-def test_skein_basis_refuses_orbits_past_their_budgets(capsys, monkeypatch, p, q, budget):
+@pytest.mark.parametrize("p, q, budget, words", [
+    (89, 97, WORD_BUDGET, "tr(u^46 v^87): (i+1)(j+1) = 4136 exceeds the word budget"),
+    (1001, 1003, WORD_BUDGET, "tr(u^4 v^819): (i+1)(j+1) = 4100 exceeds the word budget"),
+    (41, 48, ORBIT_BUDGET,
+     "degree-1 orbits of (41,48): the sum of (j1+1)(j2+1) = 262890 exceeds the orbit budget"),
+], ids=["89-97-4096", "1001-1003-4096", "41-48-262144"])
+def test_skein_basis_refuses_orbits_past_their_budgets(capsys, monkeypatch, p, q, budget, words):
     # tr(u^46 v^87) of (89, 97) is past the word budget, and the orbit words
-    # of (41, 48) together past the orbit budget: refused before any trace
+    # of (41, 48) together past the orbit budget: refused before any orbit
+    # or trace is built
+    monkeypatch.setattr(cli, "degk_orbits", unreachable)
     monkeypatch.setattr(cli, "basis_traces", unreachable)
     for extra in ((), ("--json",)):
         code, out, err = run_cli(capsys, "skein-basis", str(p), str(q), "--degree", "1", *extra)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and str(budget) in err
+        assert err == f"error: {words} of {budget}\n"
+
+
+def reference_orbit_work(cfg, k):
+    """orbit_work read off the built orbits: each word checked in lex order."""
+    orbits = degk_orbits(cfg, k)
+    for o in orbits:
+        check_word(o.j1, o.j2)
+    return sum((o.j1 + 1) * (o.j2 + 1) for o in orbits)
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (3, 4), (4, 3), (5, 12), (12, 5),
+                                  (41, 48), (48, 41), (70, 127), (127, 70),
+                                  (89, 97), (97, 89), (2, 1001), (1001, 2)])
+def test_orbit_work_equals_the_orbits_reference(p, q):
+    # both odd and even q, so the middle row j1 = q/2 is covered
+    cfg = TorusKnotConfig(p, q)
+    outcomes = []
+    for fn in (orbit_work, reference_orbit_work):
+        try:
+            outcomes.append(fn(cfg, 2))
+        except skein.BudgetError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_skein_basis_orbit_budget_accepts_its_largest_case(capsys):
@@ -193,6 +225,8 @@ def test_skein_basis_orbit_budget_accepts_its_largest_case(capsys):
     assert code == 0
     assert out.splitlines()[0] == "degree-1 basis orbits for (41,47): 920 orbit(s)"
     assert out.splitlines()[-1].startswith("  {(23,40), (24, 1)} -> ")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "68fb89de699618b5bc3699cea48c61853b4d2d588ecdd4afdf2411c40ff550b7")
 
 
 def test_verify_exit_codes(capsys):

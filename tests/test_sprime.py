@@ -462,13 +462,13 @@ def test_rotation_collar_crossing_count():
 def test_verify_fills_one_cache_entry_per_slope_and_k():
     # every caller reaches a cached builder with the same key, so no
     # (slope, k) table is computed twice
-    caches = (sprime.rotation_matrix, sprime.basis_coordinates,
-              sprime.reduction_relation, sprime.rotation_exponents,
-              sprime.collar_states, sprime.rotation_power, sprime.rotated_basis)
+    per_slope = (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
+                 sprime.rotation_power, sprime.rotated_basis,
+                 sprime.normalized_basis_coordinates, sprime.normalized_rotated_basis)
+    caches = per_slope + (sprime.reduction_relation, sprime.collar_states)
     clear_sprime_caches()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
-    for fn in (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
-               sprime.rotation_power, sprime.rotated_basis):
+    for fn in per_slope:
         assert fn.cache_info().currsize == 4, fn.__name__  # {2, 3} x {1, 2}
     # the basis reads the relation at every slope below its own, and each
     # collar continues the one a turn shorter: {1, 2, 3} x {1, 2} relations
@@ -477,3 +477,17 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     assert sprime.collar_states.cache_info().currsize == 6
     for fn in caches:
         assert fn.cache_info().misses == fn.cache_info().currsize, fn.__name__
+
+
+def test_verify_of_a_pair_with_seen_slopes_adds_no_miss():
+    # (3, 5) shares slope 3 with (2, 3) and slope 5 with (2, 5): every
+    # (slope, k) table it reads is already cached
+    tables = (sprime.normalized_basis_coordinates, sprime.normalized_rotated_basis,
+              sprime.rotated_basis, sprime.rotation_exponents)
+    clear_sprime_caches()
+    for p, q in ((2, 3), (2, 5)):
+        verify_theorem(TorusKnotConfig(p, q), max_k=1)
+    misses = [fn.cache_info().misses for fn in tables]
+    assert misses == [3] * len(tables)  # slopes {2, 3, 5} at k = 1
+    assert verify_theorem(TorusKnotConfig(3, 5), max_k=1).all_passed
+    assert [fn.cache_info().misses for fn in tables] == misses

@@ -17,6 +17,7 @@ from torusskein.charvariety import (
 )
 from torusskein.traces import (
     NumericRep,
+    matrix_powers,
     numeric_rep,
     numeric_stack,
     numeric_traces,
@@ -178,6 +179,17 @@ def test_numeric_rep_traces_equal_trace_exactly(cfg):
                 assert_same_number(rows[i][j], rep.trace(i, j))
     assert numeric_traces(us[:1], vs[:1], 2, 5).shape == (1, 3, 6)
     assert numeric_traces(us[:2], vs[:2], 4, 1).shape == (2, 5, 2)
+
+
+@pytest.mark.parametrize("size", [1, 40])
+def test_matrix_powers_equal_matrix_power_bit_for_bit(size):
+    # the shared squares fold as matrix_power folds them, so every power
+    # keeps its bytes
+    a = RNG.normal(size=(size, 2, 2)) + 1j * RNG.normal(size=(size, 2, 2))
+    powers = matrix_powers(a, 16)
+    assert len(powers) == 17
+    for n, got in enumerate(powers):
+        assert got.tobytes() == np.linalg.matrix_power(a, n).tobytes(), n
 
 
 def _broken_reps(cfg):
