@@ -185,11 +185,13 @@ def test_numeric_rep_traces_equal_trace_exactly(cfg):
 def test_matrix_powers_equal_matrix_power_bit_for_bit(size):
     # the shared squares fold as matrix_power folds them, so every power
     # keeps its bytes
-    a = RNG.normal(size=(size, 2, 2)) + 1j * RNG.normal(size=(size, 2, 2))
-    powers = matrix_powers(a, 16)
-    assert len(powers) == 17
-    for n, got in enumerate(powers):
-        assert got.tobytes() == np.linalg.matrix_power(a, n).tobytes(), n
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    for top in (0, 1, 3, 16):
+        powers = matrix_powers(a, top)
+        assert len(powers) == top + 1
+        for n, got in enumerate(powers):
+            assert got.tobytes() == np.linalg.matrix_power(a, n).tobytes(), (top, n)
 
 
 def _broken_reps(cfg):
