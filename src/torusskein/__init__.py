@@ -25,7 +25,6 @@ from .skein import (
 )
 from .sprime import (
     QuotientError,
-    basis_tangle,
     closed_basis_element,
     expand_framing_curve,
     normalized_basis_coordinates,
@@ -38,6 +37,6 @@ from .sprime import (
     rotation_matrix,
     rotation_norm_exponent,
 )
-from .traces import NumericRep, numeric_rep, series_table, trace_word
+from .traces import numeric_rep, series_table, trace_word
 
 __version__ = "0.1.0"

@@ -233,10 +233,6 @@ class Laurent(_Sparse):
 
     # -- evaluation and rendering -----------------------------------------
 
-    def evaluate(self, a):
-        """Numerically evaluate at A = a."""
-        return sum(c * a ** e for e, c in self.terms.items())
-
     def __str__(self):
         return _signed_sum(
             _scalar_term(self.terms[e], "" if e == 0 else "A" if e == 1 else f"A^{e}")
@@ -281,9 +277,6 @@ class UniPoly:
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __getitem__(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0

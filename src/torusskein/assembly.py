@@ -74,32 +74,27 @@ def deg0_degree(idx: Deg0, cfg: TorusKnotConfig) -> int:
     return cfg.p * idx.m1 + cfg.p * cfg.q * idx.n + cfg.q * idx.m2
 
 
-def deg0_exponents(cfg: TorusKnotConfig, degree_bound: int) -> dict[int, tuple]:
-    """{leading degree: (m1, n, m2)} of the indices of :func:`deg0_basis`.
+def deg0_exponents(cfg: TorusKnotConfig, degree_bound: int):
+    """(leading degree, (m1, n, m2)) of every index x^m1 P^n y^m2 with degree
+    at most the bound, in loop order, repeats included.
 
-    The degrees are pairwise distinct by the residue-system argument; a
-    collision would be a hard failure and raises.
+    The degrees are pairwise distinct by the residue-system argument; the
+    ``deg0-distinct-degrees`` check tests that on what this yields.
     """
     if degree_bound < 0:
         raise ValueError("bound must be nonnegative")
     p, q = cfg.p, cfg.q
-    out: dict[int, tuple] = {}
     for n in range(degree_bound // (p * q) + 1):
         for m1 in range(q):
             for m2 in range(p):
                 d = p * m1 + p * q * n + q * m2  # deg0_degree, before any Deg0 is built
-                if d > degree_bound:
-                    continue
-                if d in out:
-                    raise RuntimeError(
-                        f"degree collision at {Deg0(*out[d])} and {Deg0(m1, n, m2)}")
-                out[d] = (m1, n, m2)
-    return dict(sorted(out.items()))
+                if d <= degree_bound:
+                    yield d, (m1, n, m2)
 
 
 def deg0_basis(cfg: TorusKnotConfig, degree_bound: int) -> list[Deg0]:
     """All indices with leading degree at most the bound, sorted by degree."""
-    return [Deg0(*e) for e in deg0_exponents(cfg, degree_bound).values()]
+    return [Deg0(*e) for _, e in sorted(deg0_exponents(cfg, degree_bound))]
 
 
 def orbit_partner(idx: DegK, cfg: TorusKnotConfig) -> tuple[int, int]:
@@ -153,16 +148,17 @@ def sine_table(n: int) -> np.ndarray:
     return table
 
 
-def sine_matrix(cfg: TorusKnotConfig, k: int = 1) -> np.ndarray:
+def sine_matrix(cfg: TorusKnotConfig) -> np.ndarray:
     """Matrix of symmetrized sine products, orbits by admissible pairs.
 
     Entry (orbit, pair) sums sin(j1*k*pi/q) * sin(j2*l*pi/p) over the two
-    orbit representatives; the matrix does not depend on the grade k.  Each
-    sine is read from the cached :func:`sine_table` of q (or p) by the
-    integer m = j1*k (or j2*l), the argument the per-entry expression rounds.
+    orbit representatives; the orbits, and so the matrix, do not depend on
+    the grade, so those of grade 1 are read.  Each sine is read from the
+    cached :func:`sine_table` of q (or p) by the integer m = j1*k (or j2*l),
+    the argument the per-entry expression rounds.
     """
     # [orbit, representative, axis]: the two winding pairs of each orbit
-    js = np.array([[(o.j1, o.j2), orbit_partner(o, cfg)] for o in degk_orbits(cfg, k)])
+    js = np.array([[(o.j1, o.j2), orbit_partner(o, cfg)] for o in degk_orbits(cfg, 1)])
     ks, ls = np.array([(pair.k, pair.l) for pair in admissible_pairs(cfg)]).T
     sin_q, sin_p = sine_table(cfg.q), sine_table(cfg.p)
     prods = sin_q[js[..., :1] * ks] * sin_p[js[..., 1:] * ls]
@@ -179,15 +175,16 @@ def scaled_abs_det(m: np.ndarray) -> float:
         return abs(float(np.linalg.det(m / scale[:, None])))
 
 
-def verify_dst(cfg: TorusKnotConfig, tol: float = 1e-8):
+def verify_dst(cfg: TorusKnotConfig):
     """Invertibility of the sine matrix after row scaling.
 
-    Returns (ok, scaled |det|, condition number).
+    Returns (ok, scaled |det|, condition number); ok when the scaled |det|
+    exceeds 1e-8.
     """
     m = sine_matrix(cfg)
     det = scaled_abs_det(m)
     cond = float(np.linalg.cond(m)) if det else float("inf")
-    return det > tol, det, cond
+    return det > 1e-8, det, cond
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +243,13 @@ def _check_admissible_count(cfg):
 
 def _check_deg0_degrees(cfg):
     bound = 4 * cfg.p * cfg.q
-    degrees = list(deg0_exponents(cfg, bound))  # raises on collision
-    return len(set(degrees)) == len(degrees), {
-        "bound": bound, "count": len(degrees)}
+    seen = {}
+    for d, exps in deg0_exponents(cfg, bound):
+        if d in seen:
+            return False, {"bound": bound, "degree": d, "collision": [
+                dict(zip(("m1", "n", "m2"), e)) for e in (seen[d], exps)]}
+        seen[d] = exps
+    return True, {"bound": bound, "count": len(seen)}
 
 
 def _check_orbit_count(cfg, max_k):

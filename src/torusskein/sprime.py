@@ -20,13 +20,14 @@ rotation invariants (that one, rot e_j = A^(u_j) e_(p-j) with
 u_(p-j) = -u_j) pin the constants, see the tests.  The collar at slope p
 continues the collar at slope p-1, its prefix, and the basis tangle e(k, j)
 is the collar at slope j without its curl, on the null tangle: the basis
-reads the relations at slopes 1..p-1, and one collar sum per slope and width
-feeds every table.
+e(k, j) is read from the relations at slopes 1..p-1 (the tests build the
+tangles as an oracle), and one collar sum per slope and width feeds every
+table.
 
 ``skein`` builds every word; this module only composes them: the turns of
-the collar, the basis tangles, the framing curve and each core loop come
-from ``turn_slices``, and the crossingless tangles w^m and the null tangle
-from ``multicurve_tangle`` of their multicurves.
+the collar, the framing curve and each core loop come from
+``turn_slices``, and the crossingless tangles w^m and the null tangle from
+``multicurve_tangle`` of their multicurves.
 """
 
 from __future__ import annotations
@@ -145,18 +146,6 @@ def null_tangle(k: int, n: int) -> AnnularTangle:
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
     return multicurve_tangle(Multicurve(rainbow(k - 1) + ((2 * k - 2, 2 * k - 1, 0),), n))
-
-
-def basis_tangle(k: int, j: int, slope: int) -> AnnularTangle:
-    """Basis tangle e(k, j): a j-times-winding exterior strand on the outer
-    pair of marked points, around a (k-1)-strand once-winding cable on the
-    middle ones; the null tangle after j turns, the slope-j collar without its
-    curl.  Requires 1 <= j <= slope-1 (and j >= 1 for any slope)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if not 1 <= j <= max(slope - 1, 1):
-        raise ValueError(f"index j={j} out of range for slope {slope}")
-    return AnnularTangle(2 * k, turn_slices(j, 2 * k) + null_tangle(k, 0).slices)
 
 
 def framing_curve_tangle(slope: int) -> AnnularTangle:

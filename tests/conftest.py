@@ -2,10 +2,12 @@ import math
 from itertools import islice
 
 import hypothesis
+import numpy as np
 import pytest
 
 from torusskein import skein, sprime
 from torusskein.algebra import TracePoly, chebyshev_terms
+from torusskein.skein import AnnularTangle, turn_slices
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60)
@@ -49,6 +51,26 @@ def flipped_series_table(max_i, max_j):
               - y * sx[i] * sy[j + 1] + z * sx[i] * sy[j]
               for j in range(max_j + 1))
         for i in range(max_i + 1))
+
+
+def word_trace(u, v, i, j):
+    """tr(U^i V^j) of one sample, a matrix_power per factor: the reference
+    that ``traces.numeric_traces`` equals bit for bit."""
+    return complex(np.trace(np.linalg.matrix_power(u, i) @ np.linalg.matrix_power(v, j)))
+
+
+def basis_tangle(k, j, slope):
+    """Basis tangle e(k, j): a j-times-winding exterior strand on the outer
+    pair of marked points, around a (k-1)-strand once-winding cable on the
+    middle ones; the null tangle after j turns, the slope-j collar without its
+    curl.  Requires 1 <= j <= slope-1 (and j >= 1 for any slope).  An oracle
+    for ``sprime.basis_coordinates``, which reads the basis from the
+    relations."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not 1 <= j <= max(slope - 1, 1):
+        raise ValueError(f"index j={j} out of range for slope {slope}")
+    return AnnularTangle(2 * k, turn_slices(j, 2 * k) + sprime.null_tangle(k, 0).slices)
 
 
 def leading_z_coeff(i, j, pair, cfg):

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from conftest import flipped_series_table
+from conftest import flipped_series_table, word_trace
 
 from torusskein.algebra import TracePoly, chebyshev_terms
 from torusskein.charvariety import (
@@ -81,26 +81,38 @@ def test_deg0_basis_equals_per_candidate_reference():
 
 def test_deg0_degrees_distinct_up_to_twelve():
     for cfg in coprime_configs(12):
-        basis = deg0_basis(cfg, 4 * cfg.p * cfg.q)  # raises on any collision
+        basis = deg0_basis(cfg, 4 * cfg.p * cfg.q)  # every candidate, repeats included
         degs = [deg0_degree(b, cfg) for b in basis]
         assert len(set(degs)) == len(degs)
         # the verify check reads the same degrees off plain ints
-        assert list(deg0_exponents(cfg, 4 * cfg.p * cfg.q)) == degs, cfg
+        assert sorted(d for d, _ in deg0_exponents(cfg, 4 * cfg.p * cfg.q)) == degs, cfg
+
+
+def swapped_deg0_exponents(cfg, bound):
+    """deg0_exponents with the wrong ranges m1 < p and m2 < q, in its loop order."""
+    p, q = cfg.p, cfg.q
+    for n in range(bound // (p * q) + 1):
+        for m1 in range(p):
+            for m2 in range(q):
+                d = p * m1 + p * q * n + q * m2
+                if d <= bound:
+                    yield d, (m1, n, m2)
 
 
 def test_swapped_exponent_ranges_collide():
     # with m1 < p and m2 < q instead, degrees collide already for (2, 3)
-    cfg = TorusKnotConfig(2, 3)
-    seen = {}
-    collisions = []
-    for n in range(3):
-        for m1 in range(cfg.p):
-            for m2 in range(cfg.q):
-                d = cfg.p * m1 + cfg.p * cfg.q * n + cfg.q * m2
-                if d in seen:
-                    collisions.append((seen[d], (m1, n, m2)))
-                seen.setdefault(d, (m1, n, m2))
-    assert collisions, "the swapped ranges should produce a degree collision"
+    degrees = [d for d, _ in swapped_deg0_exponents(TorusKnotConfig(2, 3), 24)]
+    assert len(set(degrees)) < len(degrees), "the swapped ranges should produce a degree collision"
+
+
+def test_deg0_check_fails_on_a_collision(monkeypatch):
+    monkeypatch.setattr(assembly, "deg0_exponents", swapped_deg0_exponents)
+    collision = {"bound": 24, "degree": 6, "collision": [
+        {"m1": 0, "n": 0, "m2": 2}, {"m1": 0, "n": 1, "m2": 0}]}
+    assert assembly._check_deg0_degrees(TorusKnotConfig(2, 3)) == (False, collision)
+    report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
+    check, = [c for c in report.checks if c["name"] == "deg0-distinct-degrees"]
+    assert not check["pass"] and check["witness"] == collision
 
 
 def test_deg0_abelian_leading_degree():
@@ -323,12 +335,12 @@ def reference_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
     for _ in range(samples):
         pair = pairs[int(rng.integers(len(pairs)))]
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        rep = numeric_rep(pair, z, cfg)
+        u, v = numeric_rep(pair, z, cfg)
         comp = Component(cfg, pair)
         for i in range(max_ij + 1):
             for j in range(max_ij + 1):
                 want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
-                got = rep.trace(i, j)
+                got = word_trace(u, v, i, j)
                 worst = max(worst, abs(complex(want) - got))
         if worst > tol:
             return False, {"worst_error": worst, "tol": tol}

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
+import ast
 import hashlib
+import importlib
 import importlib.util
 import json
 import sys
@@ -343,6 +345,24 @@ def test_dst_conditioning_exits_one_on_a_failing_pair(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if "FAILS" in line] == [
         line + "  <-- FAILS" for line in passing.splitlines() if "( 3, 4)" in line]
+
+
+def test_benchmark_tracer_names_exist():
+    # the benchmark's tracer looks these names up when it installs; its tables
+    # are read off the file, without importing the harness
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tables = {target.id: ast.literal_eval(node.value)
+              for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if getattr(target, "id", None) in ("SPANNED", "COUNTED", "CACHED")}
+    for module, cls, attr in [*tables["SPANNED"].values(), *tables["COUNTED"].values()]:
+        owner = importlib.import_module(f"torusskein.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert attr in vars(owner), (module, cls, attr)
+    for module, attr in tables["CACHED"].values():
+        fn = vars(importlib.import_module(f"torusskein.{module}"))[attr]
+        assert hasattr(fn, "cache_info"), (module, attr)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import abelian_meeting_points, flipped_series_table, leading_z_coeff
+from conftest import abelian_meeting_points, flipped_series_table, leading_z_coeff, word_trace
 
 from torusskein.algebra import TracePoly, chebyshev_terms
 from torusskein.charvariety import (
@@ -16,7 +16,6 @@ from torusskein.charvariety import (
     admissible_pairs,
 )
 from torusskein.traces import (
-    NumericRep,
     matrix_powers,
     numeric_rep,
     numeric_stack,
@@ -111,8 +110,10 @@ def test_flipped_pairing_disagrees():
 def test_numeric_rep_relations():
     for cfg in (TorusKnotConfig(2, 3), TorusKnotConfig(3, 5), TorusKnotConfig(4, 5)):
         for pair in admissible_pairs(cfg):
-            rep = numeric_rep(pair, random_z(), cfg)
-            du, dv = rep.relation_defects()
+            u, v = numeric_rep(pair, random_z(), cfg)
+            # operator-norm distances of U^q and V^p from (-1)^k Id, (-1)^l Id
+            du = np.linalg.norm(np.linalg.matrix_power(u, cfg.q) - (-1) ** pair.k * np.eye(2), 2)
+            dv = np.linalg.norm(np.linalg.matrix_power(v, cfg.p) - (-1) ** pair.l * np.eye(2), 2)
             assert du < 1e-9 and dv < 1e-9
 
 
@@ -120,9 +121,9 @@ def test_numeric_rep_reducible_at_meeting_points():
     cfg = TorusKnotConfig(2, 3)
     pair = AdmissiblePair(1, 1)
     for z in abelian_meeting_points(pair, cfg):
-        rep = numeric_rep(pair, z, cfg)
+        _, v = numeric_rep(pair, z, cfg)
         # V becomes upper triangular, so (1, 0) is a common eigenvector with U
-        assert abs(rep.V[1, 0]) < 1e-9
+        assert abs(v[1, 0]) < 1e-9
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex("inf")])
@@ -136,12 +137,12 @@ def test_numeric_rep_matches_trace_word():
     cfg = TorusKnotConfig(3, 4)
     for pair in admissible_pairs(cfg):
         z = random_z()
-        rep = numeric_rep(pair, z, cfg)
+        u, v = numeric_rep(pair, z, cfg)
         comp = Component(cfg, pair)
         for i in range(0, 9):
             for j in range(0, 9):
                 want = complex(trace_word(i, j).evaluate(comp.x_const, comp.y_const, z))
-                assert abs(want - rep.trace(i, j)) < 1e-9
+                assert abs(want - word_trace(u, v, i, j)) < 1e-9
 
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
@@ -171,12 +172,12 @@ def test_numeric_rep_traces_equal_trace_exactly(cfg):
     table = numeric_traces(us, vs, 8, 8)
     assert table.shape == (len(picks), 9, 9)
     for pair, z, u, v, rows in zip(picks, zs, us, vs, table.tolist()):
-        rep = numeric_rep(pair, z, cfg)
+        one_u, one_v = numeric_rep(pair, z, cfg)
         # the stack holds the matrices numeric_rep builds, bit for bit
-        assert rep.U.tobytes() == u.tobytes() and rep.V.tobytes() == v.tobytes()
+        assert one_u.tobytes() == u.tobytes() and one_v.tobytes() == v.tobytes()
         for i in range(9):
             for j in range(9):
-                assert_same_number(rows[i][j], rep.trace(i, j))
+                assert_same_number(rows[i][j], word_trace(u, v, i, j))
     assert numeric_traces(us[:1], vs[:1], 2, 5).shape == (1, 3, 6)
     assert numeric_traces(us[:2], vs[:2], 4, 1).shape == (2, 5, 2)
 
@@ -195,21 +196,22 @@ def test_matrix_powers_equal_matrix_power_bit_for_bit(size):
 
 
 def _broken_reps(cfg):
-    """(reason, rep) pairs that NumericRep.validate must reject."""
+    """(reason, (U, V, pair, z)) samples that validate_stack must reject."""
     pair, *rest = admissible_pairs(cfg)
     other = next(o for o in rest if o.k != pair.k and o.l != pair.l)
-    good = numeric_rep(pair, random_z(), cfg)
-    moved = numeric_rep(other, good.z_param, cfg)
-    infinite = good.V.copy()
+    z = random_z()
+    u, v = numeric_rep(pair, z, cfg)
+    moved_u, moved_v = numeric_rep(other, z, cfg)
+    infinite = v.copy()
     infinite[0, 1] = complex("inf")
     return [
-        ("not finite", NumericRep(good.U, good.V, pair, complex("nan"), cfg)),
-        ("not finite", NumericRep(good.U, infinite, pair, good.z_param, cfg)),
-        ("det U drifted", NumericRep(good.U * 1.001, good.V, pair, good.z_param, cfg)),
-        ("det V drifted", NumericRep(good.U, good.V * 1.001, pair, good.z_param, cfg)),
-        ("tr U is off", NumericRep(moved.U, good.V, pair, good.z_param, cfg)),
-        ("tr V is off", NumericRep(good.U, moved.V, pair, good.z_param, cfg)),
-        ("tr UV missed", NumericRep(good.U, good.V, pair, good.z_param + 0.1, cfg)),
+        ("not finite", (u, v, pair, complex("nan"))),
+        ("not finite", (u, infinite, pair, z)),
+        ("det U drifted", (u * 1.001, v, pair, z)),
+        ("det V drifted", (u, v * 1.001, pair, z)),
+        ("tr U is off", (moved_u, v, pair, z)),
+        ("tr V is off", (u, moved_v, pair, z)),
+        ("tr UV missed", (u, v, pair, z + 0.1)),
     ]
 
 
@@ -219,16 +221,16 @@ def test_stacked_validation_rejects_what_validate_rejects(cfg):
     zs = [random_z() for _ in pairs]
     us, vs = numeric_stack(pairs, zs, cfg)
     validate_stack(us, vs, pairs, zs, cfg)  # a good stack passes
-    for reason, bad in _broken_reps(cfg):
+    for reason, (bad_u, bad_v, bad_pair, bad_z) in _broken_reps(cfg):
         with pytest.raises(ValueError, match=reason):
-            bad.validate()
+            validate_stack(bad_u[None], bad_v[None], [bad_pair], [bad_z], cfg)
         # the broken sample in the middle of a good stack
         at = len(pairs) // 2
-        stack_u = np.concatenate([us[:at], bad.U[None], us[at:]])
-        stack_v = np.concatenate([vs[:at], bad.V[None], vs[at:]])
+        stack_u = np.concatenate([us[:at], bad_u[None], us[at:]])
+        stack_v = np.concatenate([vs[:at], bad_v[None], vs[at:]])
         with pytest.raises(ValueError, match=reason):
-            validate_stack(stack_u, stack_v, pairs[:at] + [bad.pair] + pairs[at:],
-                           zs[:at] + [bad.z_param] + zs[at:], cfg)
+            validate_stack(stack_u, stack_v, pairs[:at] + [bad_pair] + pairs[at:],
+                           zs[:at] + [bad_z] + zs[at:], cfg)
 
 
 def test_numeric_stack_rejects_a_non_finite_z_among_finite_ones():
