@@ -440,6 +440,10 @@ class TracePoly(_Sparse):
 
     __rmul__ = __mul__
 
+    def shift(self, a: int, b: int, c: int) -> "TracePoly":
+        """Multiply by the monomial x^a y^b z^c, keeping the term order."""
+        return TracePoly._wrap({(i + a, j + b, k + c): v for (i, j, k), v in self.terms.items()})
+
     def degree_in(self, axis: int) -> int:
         """Largest exponent of x (axis 0), y (1) or z (2); 0 for the zero poly."""
         if not self.terms:

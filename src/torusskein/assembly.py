@@ -46,9 +46,10 @@ from .sprime import (
     rotation_exponents,
     rotation_power,
 )
-from .traces import numeric_stack, numeric_traces, series_table, trace_values, trace_word
+from .traces import numeric_traces, sample_stack, series_table, trace_values, trace_word
 
 DEFAULT_SEED = 20259
+MAX_IJ = 8  # the trace check compares tr(u^i v^j) for i, j <= MAX_IJ
 
 
 @dataclass(frozen=True)
@@ -269,23 +270,34 @@ def _check_dst(cfg):
     return ok, {"scaled_det": _json_float(det), "cond": _json_float(cond)}
 
 
-def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
-    table = series_table(max_ij, max_ij)
+@lru_cache(maxsize=None)
+def _series_mismatch(build, max_ij):
+    """The first (i, j) where the table build(max_ij, max_ij) differs from
+    trace_word(i, j), or None.  The comparison does not depend on the knot,
+    so it runs once per process for each table builder (a builder patched
+    in is compared afresh)."""
+    table = build(max_ij, max_ij)
     for i in range(max_ij + 1):
         for j in range(max_ij + 1):
             if table[i][j] != trace_word(i, j):
-                return False, {"mismatch": {"i": i, "j": j, "route": "series"}}
+                return i, j
+    return None
+
+
+def _check_triple_agreement(cfg, seed, samples=20, tol=1e-9):
+    mismatch = _series_mismatch(series_table, MAX_IJ)
+    if mismatch:
+        return False, {"mismatch": {"i": mismatch[0], "j": mismatch[1], "route": "series"}}
     rng = Generator(seed)  # numpy's default_rng(seed) stream, bit for bit
     pairs = admissible_pairs(cfg)
     picks, zs = [], []
     for _ in range(samples):
         picks.append(pairs[int(rng.integers(len(pairs)))])
         zs.append(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-    us, vs = numeric_stack(picks, zs, cfg)
     comps = [Component(cfg, pair) for pair in picks]
-    wants = trace_values(max_ij, [c.x_const for c in comps],
-                         [c.y_const for c in comps], zs)
-    diff = wants - numeric_traces(us, vs, max_ij, max_ij)
+    xs, ys = [c.x_const for c in comps], [c.y_const for c in comps]
+    us, vs = sample_stack(picks, xs, ys, zs, cfg)
+    diff = trace_values(MAX_IJ, xs, ys, zs) - numeric_traces(us, vs, MAX_IJ, MAX_IJ)
     # np.hypot is what abs() of a Python complex computes; np.abs may differ
     errors = np.hypot(diff.real, diff.imag).reshape(samples, -1).max(axis=1)
     worst = 0.0
@@ -296,7 +308,7 @@ def _check_triple_agreement(cfg, seed, max_ij=8, samples=20, tol=1e-9):
         if worst > tol:
             return False, {"worst_error": worst, "tol": tol}
     return True, {"worst_error": worst, "tol": tol,
-                  "samples": samples, "max_ij": max_ij}
+                  "samples": samples, "max_ij": MAX_IJ}
 
 
 def _check_rotation_order(slope, max_k):

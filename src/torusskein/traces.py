@@ -2,25 +2,29 @@
 
 1. :func:`trace_word` -- exact recursion from the SL2 identity
    tr(MN) = tr(M) tr(N) - tr(M N^-1), reducing the u-power first and then
-   the v-power.
+   the v-power.  Each step x*a - b (or a*y - b) is a monomial shift of one
+   word and a subtraction, with the terms in the order that product gives.
 2. :func:`series_table` -- expansion of the generating function
    sum_{i,j} tr(u^i v^j) s^i t^j =
    (2 - s x - t y + s t z) / ((1 - s x + s^2)(1 - t y + t^2)),
    whose denominators are the characteristic polynomials det(1 - s u) and
    det(1 - t v); their inverses are the second-kind Chebyshev series of
-   :func:`~torusskein.algebra.chebyshev_terms`.  The numerator pairing (x
-   with s, y with t) is the one consistent with x = tr(u); the tests build
-   the flipped pairing themselves, as a deliberately wrong negative control.
+   :func:`~torusskein.algebra.chebyshev_terms`.  Each coefficient is a sum of
+   outer products of the S_n and T_n coefficient maps in x and in y.  The
+   numerator pairing (x with s, y with t) is the one consistent with
+   x = tr(u); the tests build the product form and the flipped pairing, a
+   deliberately wrong negative control, themselves.
 3. :func:`numeric_stack` -- explicit 2x2 matrices for representations on
    chosen irreducible components, one per sample, for float cross-checks.
 
 :func:`trace_values` and :func:`numeric_traces` evaluate a whole (i, j)
 table of routes 1 and 3 at a stack of samples in one batch.  The exact
-route multiplies each term of every word once and adds each word's terms
-in order; the numeric route takes the powers of U and V for all samples
-from squares shared by every exponent, bit for bit matrix_power's, and
-forms only the diagonal of each product U^i V^j.  Each value is bit for
-bit the per-entry :meth:`TracePoly.evaluate` or
+route holds its terms as (term, sample) rows, term t of every word before
+term t+1 of any, multiplies each term once and adds each word's terms in
+order, one contiguous block of rows per term position; the numeric route
+takes the powers of U and V for all samples from shared squares and forms
+only the diagonal of each product U^i V^j.  Each value is bit for bit the
+per-entry :meth:`TracePoly.evaluate` or
 np.trace(matrix_power(U, i) @ matrix_power(V, j)).
 The exact polynomials have int coefficients, so routes 1 and 2 run in
 integer arithmetic.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import islice
 
@@ -80,11 +85,11 @@ def trace_word(i: int, j: int) -> TracePoly:
         for m in range(2, i):
             trace_word(m, j)
         # tr(u * u^{i-1} v^j) = tr(u) tr(u^{i-1} v^j) - tr(u^{i-2} v^j)
-        return TracePoly.x() * trace_word(i - 1, j) - trace_word(i - 2, j)
+        return trace_word(i - 1, j).shift(1, 0, 0) - trace_word(i - 2, j)
     # i <= 1, j >= 2: peel a v off the right
     for m in range(2, j):
         trace_word(i, m)
-    return trace_word(i, j - 1) * TracePoly.y() - trace_word(i, j - 2)
+    return trace_word(i, j - 1).shift(0, 1, 0) - trace_word(i, j - 2)
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +106,12 @@ def _term_layout(max_ij: int) -> tuple:
     n = max_ij + 1
     words = [list(trace_word(i, j).terms.items()) for i in range(n) for j in range(n)]
     ranked = sorted(range(len(words)), key=lambda w: -len(words[w]))
-    counts = [sum(len(terms) > t for terms in words) for t in range(len(words[ranked[0]]))]
+    # minus the term counts by rank, ascending: counts[t] is how many are below -t
+    negated = [-len(words[w]) for w in ranked]
+    counts = [bisect_left(negated, -t) for t in range(-negated[0])]
     flat = [words[w][t] for t, m in enumerate(counts) for w in ranked[:m]]
     coeffs = np.array([float(c) for _, c in flat])
-    expos = np.array([key for key, _ in flat], dtype=np.intp).reshape(-1, 3).T
+    expos = np.array([e for key, _ in flat for e in key], dtype=np.intp).reshape(-1, 3).T
     return (coeffs, *expos, tuple(counts), np.argsort(ranked))
 
 
@@ -119,22 +126,23 @@ def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
     pairwise, in another order).
     """
     n = max_ij + 1
-    xp, yp, zp = (np.array([[v ** m for m in range(n)] for v in vs])
+    # (power, sample) tables, so that the terms below are (term, sample)
+    # rows and every term position is one contiguous block of them
+    xp, yp, zp = (np.array([[v ** m for v in vs] for m in range(n)])
                   for vs in (xs, ys, zs))
     c, a, b, e, counts, order = _term_layout(max_ij)
     # the real part c*x^a*y^b of every term, in place: each product
-    # commutes, so it rounds as left to right, and at most two (S, terms)
-    # float arrays are live; z^e joins one term position at a time
-    real = xp[:, a]
-    real *= c
-    real *= yp[:, b]
-    acc = np.zeros((len(zp), n * n), dtype=zp.dtype)
+    # commutes, so it rounds as left to right, and no (terms, S) complex
+    # array is formed; z^e joins one term position at a time
+    real = xp[a]
+    real *= c[:, None]
+    real *= yp[b]
+    acc = np.zeros((n * n, len(zs)), dtype=zp.dtype)
     start = 0
     for m in counts:
-        t = slice(start, start + m)
-        acc[:, :m] += real[:, t] * zp[:, e[t]]
+        acc[:m] += real[start:start + m] * zp[e[start:start + m]]
         start += m
-    return acc[:, order].reshape(-1, n, n)
+    return acc[order].T.reshape(-1, n, n)
 
 
 @lru_cache(maxsize=None)
@@ -143,40 +151,45 @@ def series_table(max_i: int, max_j: int) -> tuple:
 
     1/(1 - s x + s^2) expands to sum_i S_i(x) s^i with S_i the degree-i
     second-kind recursion polynomials, so the (i, j) coefficient is read off
-    as a finite combination of S_i(x) and S_j(y).  Only the pairing of x
-    with s is built here; the flipped numerator 2 - t x - s y + s t z, a
-    wrong convention, lives in the tests as a negative control.  The table
-    does not depend on the knot, so it is cached; rows are tuples, so a
-    cached table is immutable.
+    as a finite combination of S_i(x) and S_j(y).  The table does not
+    depend on the knot, so it is cached; rows are tuples, so a cached table
+    is immutable.
     """
     if max_i > SERIES_MAX or max_j > SERIES_MAX:
         raise ValueError(f"series bounds are limited to {SERIES_MAX}")
-    x, y, z = TracePoly.x(), TracePoly.y(), TracePoly.z()
-    # [S_-1, S_0, ..., S_n], with S_-1 = 0
-    sx = [TracePoly(), *islice(chebyshev_terms(x, 1), max_i + 1)]
-    sy = [TracePoly(), *islice(chebyshev_terms(y, 1), max_j + 1)]
-    return tuple(
-        tuple(2 * sx[i + 1] * sy[j + 1] - x * sx[i] * sy[j + 1]
-              - y * sx[i + 1] * sy[j] + z * sx[i] * sy[j]
-              for j in range(max_j + 1))
-        for i in range(max_i + 1))
+    # coefficient maps [(power, coefficient), ...] of S_-1 = 0, S_0, ..., S_n
+    # and of T_0, ..., T_n, one variable's, since x and y share them
+    top = max(max_i, max_j) + 1
+    s, t = ([[(key[0], c) for key, c in poly.terms.items()]
+             for poly in islice(chebyshev_terms(TracePoly.x(), x0), top)] for x0 in (1, 2))
+    s.insert(0, [])
+
+    def entry(i, j):
+        # 2 S_j(y) - y S_j-1(y) = T_j(y), so G[i][j] is the sum of the outer
+        # products S_i(x) T_j(y) - x S_i-1(x) S_j(y) + z S_i-1(x) S_j-1(y)
+        terms = {}
+        for xs, ys, da, e, sign in ((s[i + 1], t[j], 0, 0, 1), (s[i], s[j + 1], 1, 0, -1),
+                                    (s[i], s[j], 0, 1, 1)):
+            for a, cx in xs:
+                for b, cy in ys:
+                    terms[a + da, b, e] = terms.get((a + da, b, e), 0) + sign * cx * cy
+        return TracePoly(terms)
+
+    return tuple(tuple(entry(i, j) for j in range(max_j + 1)) for i in range(max_i + 1))
 
 
-def validate_stack(us, vs, pairs, zs, cfg) -> None:
+def validate_stack(us, vs, xs, ys, zs) -> None:
     """Raise ValueError unless every sample of the stack is a representation
-    on its pair's component with tr UV = z."""
+    with tr U = x, tr V = y and tr UV = z."""
     zs = np.asarray(zs, dtype=complex)
     # every test below is ``> tol``, which NaN would pass
     if not (np.isfinite(zs).all() and np.isfinite(us).all() and np.isfinite(vs).all()):
         raise ValueError("z or an entry of U or V is not finite")
-    comps = [Component(cfg, pair) for pair in pairs]
     tests = (
         (np.linalg.det(us), 1, 1e-12, "det U drifted from 1"),
         (np.linalg.det(vs), 1, 1e-12, "det V drifted from 1"),
-        (np.trace(us, axis1=1, axis2=2), [c.x_const for c in comps], 1e-9,
-         "tr U is off the component"),
-        (np.trace(vs, axis1=1, axis2=2), [c.y_const for c in comps], 1e-9,
-         "tr V is off the component"),
+        (np.trace(us, axis1=1, axis2=2), xs, 1e-9, "tr U is off the component"),
+        (np.trace(vs, axis1=1, axis2=2), ys, 1e-9, "tr V is off the component"),
         (np.trace(us @ vs, axis1=1, axis2=2), zs, 1e-9, "tr UV missed the requested z"),
     )
     for got, want, tol, message in tests:
@@ -185,30 +198,37 @@ def validate_stack(us, vs, pairs, zs, cfg) -> None:
 
 
 def numeric_stack(pairs, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices U, V with tr U = x_c, tr V = y_c, tr UV = z for each sample
-    (pair, z), stacked to shape (S, 2, 2) and validated in one pass.
+    """:func:`sample_stack` at the constant traces x_c, y_c of each pair's
+    component."""
+    comps = [Component(cfg, pair) for pair in pairs]
+    return sample_stack(pairs, [c.x_const for c in comps], [c.y_const for c in comps], zs, cfg)
+
+
+def sample_stack(pairs, xs, ys, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices U, V with tr U = x, tr V = y, tr UV = z for each sample
+    (pair, x, y, z), x and y the constant traces of the pair's component,
+    stacked to shape (S, 2, 2) and validated in one pass.
 
     U is diagonal with eigenvalues exp(+-i k pi / q).  V = [[a, 1], [ad-1, d]]
     has the prescribed trace and determinant 1; a is solved from the linear
-    system tr V = y_c, tr UV = z, which is nonsingular because the
+    system tr V = y, tr UV = z, which is nonsingular because the
     eigenvalues of U are distinct.  The construction succeeds for every z;
     exactly at the two abelian meeting z-values the pair becomes reducible
     (V turns triangular) but the matrices remain valid.
     """
     us, vs = [], []
-    for pair, z in zip(pairs, zs):
+    for pair, y, z in zip(pairs, ys, zs):
         xi = cmath.exp(1j * math.pi * pair.k / cfg.q)
-        eta_sum = 2.0 * math.cos(math.pi * pair.l / cfg.p)
         denom = xi - 1 / xi
         if abs(denom) < 1e-15:
             raise ValueError(f"degenerate eigenvalue data for pair {pair}")
-        a = (z - eta_sum / xi) / denom
-        d = eta_sum - a
+        a = (z - y / xi) / denom
+        d = y - a
         us.append([[xi, 0.0], [0.0, 1 / xi]])
         vs.append([[a, 1.0], [a * d - 1.0, d]])
     us = np.array(us, dtype=complex).reshape(-1, 2, 2)
     vs = np.array(vs, dtype=complex).reshape(-1, 2, 2)
-    validate_stack(us, vs, pairs, zs, cfg)
+    validate_stack(us, vs, xs, ys, zs)
     return us, vs
 
 

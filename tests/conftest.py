@@ -35,22 +35,30 @@ def state_budget(monkeypatch):
     return lower
 
 
-def flipped_series_table(max_i, max_j):
-    """The trace series table with its numerator paired the wrong way round.
+def reference_series_table(max_i, max_j, flipped=False):
+    """The trace series table built from TracePoly products, the oracle of
+    ``traces.series_table``: the (i, j) coefficient of
+    (2 - s x - t y + s t z) / ((1 - s x + s^2)(1 - t y + t^2)).
 
-    Expands 2 - t x - s y + s t z over the same denominators as
-    ``traces.series_table``: x = tr(u) goes with t instead of s, so the
-    entries are not the traces.  A negative control for the trace checks.
+    ``flipped`` expands 2 - t x - s y + s t z over the same denominators
+    instead: x = tr(u) goes with t instead of s, so the entries are not the
+    traces.  A negative control for the trace checks.
     """
     x, y, z = TracePoly.x(), TracePoly.y(), TracePoly.z()
     # [S_-1, S_0, ..., S_n], with S_-1 = 0
     sx = [TracePoly(), *islice(chebyshev_terms(x, 1), max_i + 1)]
     sy = [TracePoly(), *islice(chebyshev_terms(y, 1), max_j + 1)]
+    a, b = (y, x) if flipped else (x, y)
     return tuple(
-        tuple(2 * sx[i + 1] * sy[j + 1] - x * sx[i + 1] * sy[j]
-              - y * sx[i] * sy[j + 1] + z * sx[i] * sy[j]
+        tuple(2 * sx[i + 1] * sy[j + 1] - a * sx[i] * sy[j + 1]
+              - b * sx[i + 1] * sy[j] + z * sx[i] * sy[j]
               for j in range(max_j + 1))
         for i in range(max_i + 1))
+
+
+def flipped_series_table(max_i, max_j):
+    """The trace series table with its numerator paired the wrong way round."""
+    return reference_series_table(max_i, max_j, flipped=True)
 
 
 def word_trace(u, v, i, j):

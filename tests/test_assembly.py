@@ -294,11 +294,30 @@ def test_verify_theorem_passes_trefoil():
 
 
 def test_verify_theorem_negative_control(monkeypatch):
-    # a mis-paired generating-function numerator must break the triple agreement
+    # a mis-paired generating-function numerator must break the triple
+    # agreement, also after a passing pair has memoised the true table's
+    # comparison
+    assert verify_theorem(TorusKnotConfig(2, 3), max_k=1).all_passed
     monkeypatch.setattr(assembly, "series_table", flipped_series_table)
     report = verify_theorem(TorusKnotConfig(2, 3), max_k=1)
-    failed = {c["name"] for c in report.checks if not c["pass"]}
+    failed = {c["name"]: c["witness"] for c in report.checks if not c["pass"]}
     assert "trace-triple-agreement" in failed
+    witness = failed["trace-triple-agreement"]
+    assert set(witness) == {"mismatch"} and witness["mismatch"]["route"] == "series"
+
+
+def test_series_comparison_runs_once_per_process(monkeypatch):
+    # the exact comparison does not depend on the knot: a second pair reuses it
+    builds = []
+
+    def counted(max_i, max_j):
+        builds.append((max_i, max_j))
+        return series_table(max_i, max_j)
+
+    monkeypatch.setattr(assembly, "series_table", counted)
+    assert verify_theorem(TorusKnotConfig(2, 3), max_k=1).all_passed
+    assert verify_theorem(TorusKnotConfig(3, 5), max_k=1).all_passed
+    assert builds == [(assembly.MAX_IJ, assembly.MAX_IJ)]
 
 
 def test_non_finite_trace_error_fails_with_json_safe_witness(monkeypatch):

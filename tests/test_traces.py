@@ -1,12 +1,19 @@
 """Trace recursion vs generating function vs numeric matrices."""
 
+import hashlib
 import inspect
 import math
 import sys
 
 import numpy as np
 import pytest
-from conftest import abelian_meeting_points, flipped_series_table, leading_z_coeff, word_trace
+from conftest import (
+    abelian_meeting_points,
+    flipped_series_table,
+    leading_z_coeff,
+    reference_series_table,
+    word_trace,
+)
 
 from torusskein.algebra import TracePoly, chebyshev_terms
 from torusskein.charvariety import (
@@ -95,6 +102,19 @@ def test_series_matches_recursion():
     for i in range(9):
         for j in range(9):
             assert table[i][j] == trace_word(i, j)
+
+
+@pytest.mark.parametrize("max_i, max_j", [(16, 16), (16, 3), (3, 16), (0, 0)])
+def test_series_table_equals_product_reference(max_i, max_j):
+    assert series_table(max_i, max_j) == reference_series_table(max_i, max_j)
+
+
+def test_trace_word_term_order_is_pinned():
+    # trace_values adds each word's terms in this order, so the bits of
+    # every exact trace value depend on it
+    words = repr([list(trace_word(i, j).terms.items()) for i in range(13) for j in range(13)])
+    assert hashlib.sha256(words.encode()).hexdigest() == (
+        "56f856ed2eb4c17c4874831af5dbfbf4658770f832f7506beb240f102407abfb")
 
 
 def test_series_bound_guard():
@@ -215,22 +235,29 @@ def _broken_reps(cfg):
     ]
 
 
+def component_traces(pairs, cfg):
+    """x_c and y_c of each pair's component, the traces validate_stack expects."""
+    comps = [Component(cfg, pair) for pair in pairs]
+    return [c.x_const for c in comps], [c.y_const for c in comps]
+
+
 @pytest.mark.parametrize("cfg", [TorusKnotConfig(3, 5), TorusKnotConfig(5, 12)], ids=str)
 def test_stacked_validation_rejects_what_validate_rejects(cfg):
     pairs = admissible_pairs(cfg)
     zs = [random_z() for _ in pairs]
     us, vs = numeric_stack(pairs, zs, cfg)
-    validate_stack(us, vs, pairs, zs, cfg)  # a good stack passes
+    validate_stack(us, vs, *component_traces(pairs, cfg), zs)  # a good stack passes
     for reason, (bad_u, bad_v, bad_pair, bad_z) in _broken_reps(cfg):
         with pytest.raises(ValueError, match=reason):
-            validate_stack(bad_u[None], bad_v[None], [bad_pair], [bad_z], cfg)
+            validate_stack(bad_u[None], bad_v[None], *component_traces([bad_pair], cfg), [bad_z])
         # the broken sample in the middle of a good stack
         at = len(pairs) // 2
         stack_u = np.concatenate([us[:at], bad_u[None], us[at:]])
         stack_v = np.concatenate([vs[:at], bad_v[None], vs[at:]])
         with pytest.raises(ValueError, match=reason):
-            validate_stack(stack_u, stack_v, pairs[:at] + [bad_pair] + pairs[at:],
-                           zs[:at] + [bad_z] + zs[at:], cfg)
+            validate_stack(stack_u, stack_v,
+                           *component_traces(pairs[:at] + [bad_pair] + pairs[at:], cfg),
+                           zs[:at] + [bad_z] + zs[at:])
 
 
 def test_numeric_stack_rejects_a_non_finite_z_among_finite_ones():
