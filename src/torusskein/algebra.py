@@ -120,7 +120,14 @@ class _Sparse:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        r = dict(self.terms)
+        for key, c in other.terms.items():
+            s = r.get(key, 0) - c
+            if s:
+                r[key] = s
+            else:
+                r.pop(key, None)
+        return self._wrap(r)
 
     def __rsub__(self, other):
         return (-self).__add__(other)  # NotImplemented when other is no scalar

@@ -26,6 +26,50 @@ marked points where each arc either misses the seam (winding 0) or crosses
 it once (winding -1 when read from its smaller endpoint), plus some number
 of parallel core loops.  These are the free-module basis of the relative
 skein module of the solid torus.
+
+Inside the sum a state's coefficient is held packed, as a triple
+``(lo, N, L)`` of ints: N = sum of c_e * 2^(B (e - lo) / 4) over the
+exponents e of the coefficient, one B-bit digit (``_DIGIT_BITS``) per power
+of A^4 (per A^2 on an odd strand count, see the class rule), and L an upper
+bound on sum |c_e|.  A crossing's branch moves only lo; the loop factor
+-A^2 - A^-2 gives (lo - 2, -((N << B) + N), 2L); a merge is one shift and
+one int add, with bound L1 + L2; a state is dropped when N == 0.
+``resolve_states`` returns the packed states as a read-only mapping whose
+values are decoded to ``Laurent`` when read, and which continues packed
+when passed back as ``start``.
+
+*Exactness.*  N is the coefficient times A^-lo with A^4 set to 2^B.  That
+substitution is additive and turns a factor A^(4m) into a shift by mB bits,
+so every operation above acts on N exactly as on the coefficient.  While
+every |c_e| <= L < 2^(B-1), the balanced base-2^B digits of N are the c_e
+(an expansion with digits in [-2^(B-1), 2^(B-1)) is unique), so decoding
+is exact and N == 0 exactly when the coefficient is 0.  Every stored L is
+kept below 2^(B-2): a merge or a loop factor then gives L < 2^(B-1), still
+exact, and a state whose bound reaches 2^(B-2) is decoded and its L
+replaced by its true sum |c_e|.  If even that reaches 2^(B-2), the sum
+restarts at twice the digit width.  Nothing is approximated.
+
+*The class rule.*  One digit per A^4 needs every exponent of one state's
+coefficient in one class mod 4.  A path of smoothings reaching a state
+contributes A to the power sum(+-1 over its crossings) + sum(+-2 over its
+contractible loops), which is sum(s_c) + 2(t + d) mod 4, with t its
+turnback smoothings and d its contractible loops; so it is enough that
+t + d mod 2 is fixed by the state.  When the strand count is even, a core
+circle meets the diagram an even number of times and the annulus minus
+the diagram has a checkerboard shading.  At each crossing one smoothing
+joins the two shaded corners, so t = j + const mod 2, with j the number of
+crossings so smoothed.  The shaded regions, joined by those j bands, form a
+planar surface F with chi(F) = const - j and chi(F) = 2 (components) -
+(boundary circles), so F has j + const boundary circles mod 2.  These are
+the state's closed curves (its d contractible loops and its core loops,
+each with shading on one side only), the boundary circles of the annulus
+that carry no endpoint, and the circles that alternate between the state's
+arcs and shaded pieces of the annulus boundary, whose number is fixed by
+how the arcs pair the endpoints.  All but d are fixed by the state, so
+d + j, hence t + d, is fixed mod 2.  An odd strand count admits no shading;
+there each exponent has the parity of the crossing count, and states are
+packed one digit per A^2.  A merge of two packed values whose lo differ
+off the class is a bookkeeping error and raises PlanarityError.
 """
 
 from __future__ import annotations
@@ -33,9 +77,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .algebra import DELTA, Laurent
+from .algebra import Laurent
 
 STATE_BUDGET = 2 ** 15  # live distinct states; `verify 5 7 --max-k 8` peaks at 17,542
+_DIGIT_BITS = 128  # bits per packed digit; a multiple of 4 (see the module docstring)
 
 X, CUP, CAP, ROT = "x", "cup", "cap", "rot"
 
@@ -236,9 +281,6 @@ class SkeinElement:
     def __setattr__(self, name, value):
         raise AttributeError("SkeinElement values are immutable")
 
-    def scale(self, c: Laurent) -> "SkeinElement":
-        return SkeinElement(self.endpoints, {mc: v * c for mc, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, SkeinElement):
             return NotImplemented
@@ -275,8 +317,6 @@ class SkeinElement:
 # join, _turnback; the cap then deletes the two joined positions.
 # ---------------------------------------------------------------------------
 
-ONE = Laurent.one()
-
 
 def _initial_state(width: int):
     return (tuple((~e, 0) for e in range(width)), (), 0)
@@ -284,17 +324,17 @@ def _initial_state(width: int):
 
 def _turnback(state, i):
     """Join the curves at cyclic positions i, i+1, and leave a fresh arc between
-    the two positions; returns (state, factor in {ONE, DELTA})."""
+    the two positions; returns (state, whether a contractible loop closed)."""
     ends, arcs, loops = state
     j = (i + 1) % len(ends)
     seam = 1 if j == 0 else 0  # the join's traversal from i to j crosses the seam
     (fu, wu), (fv, wv) = ends[i], ends[j]
-    factor = ONE
+    closed = False
     ends = list(ends)
     if fu == j:
         total = wu + seam
         if total == 0:
-            factor = DELTA
+            closed = True
         elif total in (1, -1):
             loops += 1
         else:
@@ -313,14 +353,15 @@ def _turnback(state, i):
         if fu >= 0:
             ends[fu] = (fv, -walk)
     ends[i], ends[j] = (j, -seam), (i, seam)
-    return (tuple(ends), arcs, loops), factor
+    return (tuple(ends), arcs, loops), closed
 
 
 def _apply_cap(state, i):
-    (ends, arcs, loops), factor = _turnback(state, i)
-    lo, hi = sorted((i, (i + 1) % len(ends)))
-    kept = ends[:lo] + ends[lo + 1:hi] + ends[hi + 1:]
-    return (tuple((f - (f > lo) - (f > hi), w) for f, w in kept), arcs, loops), factor
+    (ends, arcs, loops), closed = _turnback(state, i)
+    if i == len(ends) - 1:  # the pair across the seam: positions 0 and i
+        return (tuple([(f - 1 if f > 0 else f, w) for f, w in ends[1:i]]), arcs, loops), closed
+    return (tuple([(f - 2 if f > i else f, w) for f, w in ends[:i] + ends[i + 2:]]),
+            arcs, loops), closed
 
 
 def _apply_cup(state, i):
@@ -343,59 +384,174 @@ def _apply_rot(state, sign):
     return (tuple(ends), arcs, loops)
 
 
-def _apply_event(state, ev):
-    """List of (state, A-exponent, factor in {ONE, DELTA}) from one slice."""
-    op = ev[0]
+def _branches(states: Mapping, ev):
+    """(state, value, new state, A-exponent, whether a contractible loop closed)
+    for each branch of one slice over every live state; values pass through."""
+    op, arg = ev[0], ev[1]
     if op == X:
-        turned, f = _turnback(state, ev[1])
-        return [(state, ev[2], ONE), (turned, -ev[2], f)]
-    if op == CUP:
-        return [(_apply_cup(state, ev[1]), 0, ONE)]
-    if op == CAP:
-        new, f = _apply_cap(state, ev[1])
-        return [(new, 0, f)]
-    return [(_apply_rot(state, ev[1]), 0, ONE)]
+        sign = ev[2]
+        for state, value in states.items():
+            yield state, value, state, sign, False
+            turned, closed = _turnback(state, arg)
+            yield state, value, turned, -sign, closed
+    elif op == CAP:
+        for state, value in states.items():
+            capped, closed = _apply_cap(state, arg)
+            yield state, value, capped, 0, closed
+    else:
+        apply = _apply_cup if op == CUP else _apply_rot
+        for state, value in states.items():
+            yield state, value, apply(state, arg), 0, False
 
 
-def resolve_states(tangle: AnnularTangle, budget: int | None = None,
-                   start: Mapping | None = None, *, drop_trivial_arcs: bool = False):
-    """Run the state sum; returns a dict mapping open states to coefficients.
+# ---------------------------------------------------------------------------
+# packed coefficients (see the module docstring)
+# ---------------------------------------------------------------------------
 
-    Identical states are merged as the word is consumed, so the cost scales
-    with the number of distinct planar states.  After each slice the number
-    of live states is checked against ``budget`` (``STATE_BUDGET`` when None),
-    and BudgetError is raised as soon as it is over.  ``start``, a result of
-    an earlier call, is continued instead of the initial state; it is never
-    mutated or returned.  ``drop_trivial_arcs`` drops a state as soon as it
-    holds a winding-0 arc; arcs are never removed, so this filters the full
-    result exactly (given a ``start`` pruned the same way).
-    """
-    limit = STATE_BUDGET if budget is None else budget
-    states = {_initial_state(tangle.endpoints): ONE} if start is None else start
+
+class _Widen(Exception):
+    """A state's true sum |c_e| reached 2^(B-2): the sum restarts at 2B bits."""
+
+
+def _digits(n: int, bits: int):
+    """The balanced base-2^bits digits of n, lowest first."""
+    full = 1 << bits
+    half, mask = full >> 1, full - 1
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= full
+        yield d
+        n = (n - d) >> bits
+
+
+def _refreshed(n: int, bits: int, top: int) -> int:
+    """The true sum |c_e| of an exactly decodable packed value, below ``top``."""
+    bound = sum(abs(c) for c in _digits(n, bits))
+    if bound >= top:
+        raise _Widen
+    return bound
+
+
+def _pack(coeff: Laurent, bits: int, stride: int) -> tuple:
+    """(lo, N, L) of a nonzero coefficient, with L its true sum |c_e|."""
+    lo = min(coeff.terms)
+    n = bound = 0
+    for e, c in coeff.terms.items():
+        if (e - lo) % stride:
+            raise PlanarityError(f"coefficient {coeff} mixes exponent classes mod {stride}")
+        n += c << (e - lo) // stride * bits
+        bound += abs(c)
+    if bound >= 1 << (bits - 2):
+        raise _Widen
+    return (lo, n, bound)
+
+
+class _PackedStates(Mapping):
+    """Read-only result of :func:`resolve_states`: open states mapped to their
+    packed coefficients, each decoded to a Laurent polynomial when read."""
+
+    __slots__ = ("_packed", "_bits", "_stride")
+
+    def __init__(self, packed: dict, bits: int, stride: int):
+        self._packed, self._bits, self._stride = packed, bits, stride
+
+    def __getitem__(self, state) -> Laurent:
+        lo, n, _ = self._packed[state]
+        stride = self._stride
+        return Laurent({lo + stride * i: c for i, c in enumerate(_digits(n, self._bits)) if c})
+
+    def __contains__(self, state) -> bool:
+        return state in self._packed
+
+    def __iter__(self):
+        return iter(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+
+def _packed_start(start: Mapping, bits: int, stride: int) -> dict:
+    """The packed states of ``start``, shared when already packed at ``bits``."""
+    if isinstance(start, _PackedStates) and (start._bits, start._stride) == (bits, stride):
+        return start._packed
+    return {state: _pack(coeff, bits, stride) for state, coeff in start.items() if coeff}
+
+
+def _packed_sum(tangle, limit, start, drop_trivial_arcs, bits, stride) -> dict:
+    step = bits // stride  # bits of N per unit of exponent difference
+    top = 1 << (bits - 2)
+    if start is None:
+        states = {_initial_state(tangle.endpoints): (0, 1, 1)}
+    else:
+        states = _packed_start(start, bits, stride)
     for ev in tangle.slices:
         merged: dict = {}
-        for state, coeff in states.items():
-            for new_state, exp, factor in _apply_event(state, ev):
-                # arcs only grow, so a changed tuple means one arc was added
-                if (drop_trivial_arcs and new_state[1] is not state[1]
-                        and any(w == 0 for _, _, w in new_state[1])):
-                    continue
-                add = coeff.shift(exp) if exp else coeff
-                if factor is not ONE:
-                    add = add * factor
-                prev = merged.get(new_state)
-                s = add if prev is None else prev + add
-                if s:
-                    merged[new_state] = s
-                else:
-                    merged.pop(new_state, None)
+        for state, (lo, n, bound), new_state, exp, closed in _branches(states, ev):
+            # arcs only grow, so a changed tuple means one arc was added
+            if (drop_trivial_arcs and new_state[1] is not state[1]
+                    and any(w == 0 for _, _, w in new_state[1])):
+                continue
+            lo += exp
+            if closed:  # times -A^2 - A^-2
+                lo, n, bound = lo - 2, -((n << 4 * step) + n), 2 * bound
+                if bound >= top:
+                    bound = _refreshed(n, bits, top)
+            value = (lo, n, bound)
+            prev = merged.setdefault(new_state, value)
+            if prev is value:
+                continue
+            plo, pn, pbound = prev
+            gap = lo - plo
+            if gap % stride:
+                raise PlanarityError(
+                    f"merge of A^{plo} and A^{lo} packings: exponent classes "
+                    f"differ mod {stride}")
+            if gap >= 0:
+                lo, n = plo, pn + (n << gap * step)
+            else:
+                n += pn << -gap * step
+            if not n:
+                del merged[new_state]
+                continue
+            bound += pbound
+            if bound >= top:
+                bound = _refreshed(n, bits, top)
+            merged[new_state] = (lo, n, bound)
         if len(merged) > limit:
             raise BudgetError(
                 f"{len(merged)} live states on {tangle.endpoints} strands exceed "
                 f"the state budget of {limit}",
                 states=len(merged), budget=limit, strands=tangle.endpoints)
         states = merged
-    return dict(states) if states is start else states
+    return states
+
+
+def resolve_states(tangle: AnnularTangle, budget: int | None = None,
+                   start: Mapping | None = None, *, drop_trivial_arcs: bool = False) -> Mapping:
+    """Run the state sum; returns a read-only mapping of open states to coefficients.
+
+    Identical states are merged as the word is consumed, so the cost scales
+    with the number of distinct planar states.  After each slice the number
+    of live states is checked against ``budget`` (``STATE_BUDGET`` when None),
+    and BudgetError is raised as soon as it is over.  ``start``, a result of
+    an earlier call, is continued instead of the initial state, without
+    decoding its coefficients; it is never mutated or returned.
+    ``drop_trivial_arcs`` drops a state as soon as it holds a winding-0 arc;
+    arcs are never removed, so this filters the full result exactly (given a
+    ``start`` pruned the same way).  Coefficients are held packed (see the
+    module docstring) and decoded to ``Laurent`` when read.
+    """
+    limit = STATE_BUDGET if budget is None else budget
+    # one packed digit per A^4 on an even strand count, else per A^2
+    bits, stride = _DIGIT_BITS, 2 if tangle.endpoints % 2 else 4
+    while True:
+        try:
+            packed = _packed_sum(tangle, limit, start, drop_trivial_arcs, bits, stride)
+        except _Widen:
+            bits *= 2
+        else:
+            return _PackedStates(packed, bits, stride)
 
 
 def resolve(tangle: AnnularTangle, budget: int | None = None,
@@ -405,7 +561,7 @@ def resolve(tangle: AnnularTangle, budget: int | None = None,
         raise MalformedTangle(
             f"tangle leaves {tangle.final_width} strands unclosed")
     states = resolve_states(tangle, budget, start, drop_trivial_arcs=drop_trivial_arcs)
-    # a closed state ((), arcs, loops) is exactly one multicurve
+    # a closed state ((), arcs, loops) is exactly one multicurve, decoded once
     return SkeinElement(tangle.endpoints, {
         Multicurve(arcs, loops): coeff for (_, arcs, loops), coeff in states.items()})
 

@@ -32,8 +32,8 @@ the collar, the framing curve and each core loop come from
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
-from types import MappingProxyType
 
 from .algebra import Laurent, UniPoly
 from .skein import (
@@ -93,9 +93,10 @@ def rotation_norm_exponent(slope: int, width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def collar_states(slope: int, width: int) -> MappingProxyType:
-    """Final states of the collar word alone (read-only), the ``start`` of every
-    rotation, without the states holding a winding-0 arc (the quotient kills them).
+def collar_states(slope: int, width: int) -> Mapping:
+    """Final states of the collar word alone (read-only, coefficients kept packed),
+    the ``start`` of every rotation, without the states holding a winding-0 arc
+    (the quotient kills them).
     The sum continues the collar one turn shorter, a prefix of the word, so the
     state budget trips at the slice and count of the sum from scratch."""
     word, start, done = rotation_slices(slope, width), None, 0
@@ -104,7 +105,7 @@ def collar_states(slope: int, width: int) -> MappingProxyType:
             collar_states(s, width)
         start, done = collar_states(slope - 1, width), len(rotation_slices(slope - 1, width))
     rest = AnnularTangle(width, word[done:])
-    return MappingProxyType(resolve_states(rest, start=start, drop_trivial_arcs=True))
+    return resolve_states(rest, start=start, drop_trivial_arcs=True)
 
 
 def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
@@ -117,7 +118,8 @@ def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
     """
     width = tangle.endpoints
     el = resolve(tangle, start=collar_states(slope, width), drop_trivial_arcs=True)
-    return el.scale(Laurent.A(rotation_norm_exponent(slope, width)))
+    exp = rotation_norm_exponent(slope, width)
+    return SkeinElement(width, {mc: c.shift(exp) for mc, c in el.terms.items()})
 
 
 # ---------------------------------------------------------------------------

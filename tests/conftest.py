@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from torusskein import skein, sprime
-from torusskein.algebra import TracePoly, chebyshev_terms
-from torusskein.skein import AnnularTangle, turn_slices
+from torusskein.algebra import DELTA, Laurent, TracePoly, chebyshev_terms
+from torusskein.skein import AnnularTangle, BudgetError, SkeinElement, turn_slices
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60)
@@ -33,6 +33,41 @@ def state_budget(monkeypatch):
         clear_sprime_caches()
         monkeypatch.setattr(skein, "STATE_BUDGET", limit)
     return lower
+
+
+def reference_resolve_states(tangle, budget=None, start=None, *, drop_trivial_arcs=False):
+    """The state sum over Laurent coefficients, one dict per live state's
+    value: the oracle of ``skein.resolve_states``, which packs them into
+    ints.  Same state machine, same budget rule, same pruning."""
+    limit = skein.STATE_BUDGET if budget is None else budget
+    states = ({skein._initial_state(tangle.endpoints): Laurent.one()} if start is None
+              else dict(start))
+    for ev in tangle.slices:
+        merged = {}
+        for state, coeff, new_state, exp, closed in skein._branches(states, ev):
+            if (drop_trivial_arcs and new_state[1] is not state[1]
+                    and any(w == 0 for _, _, w in new_state[1])):
+                continue
+            add = coeff.shift(exp) if exp else coeff
+            if closed:
+                add = add * DELTA
+            prev = merged.get(new_state)
+            s = add if prev is None else prev + add
+            if s:
+                merged[new_state] = s
+            else:
+                merged.pop(new_state, None)
+        if len(merged) > limit:
+            raise BudgetError(f"{len(merged)} live states", states=len(merged),
+                              budget=limit, strands=tangle.endpoints)
+        states = merged
+    return states
+
+
+def scale(el, c):
+    """el times the Laurent polynomial c, one product per coefficient: the
+    reference for the normalization that ``rotated_element`` applies."""
+    return SkeinElement(el.endpoints, {mc: v * c for mc, v in el.terms.items()})
 
 
 def reference_series_table(max_i, max_j, flipped=False):

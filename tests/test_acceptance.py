@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import leading_z_coeff
+from conftest import leading_z_coeff, scale
 
 from torusskein.algebra import Laurent, UniPoly
 from torusskein.charvariety import (
@@ -202,7 +202,7 @@ def test_criterion_7_relation_degrees():
             for n in range(4):
                 # rotate(null_tangle(k, n)) resolved as one word is w^n times the relation
                 word = rotate(null_tangle(k, n), p)
-                poly = winding_part(resolve(word, drop_trivial_arcs=True).scale(norm), k)
+                poly = winding_part(scale(resolve(word, drop_trivial_arcs=True), norm), k)
                 assert poly.degree == n + p - 1, (p, k, n)
                 assert poly[n + p - 1].unit_parts() is not None, (p, k, n)
                 assert poly == UniPoly("w", [0] * n + list(rel.coeffs)), (p, k, n)

@@ -6,9 +6,10 @@ import random
 
 import hypothesis.strategies as st
 import pytest
+from conftest import reference_resolve_states
 from hypothesis import given
 
-from torusskein import skein
+from torusskein import skein, sprime
 from torusskein.algebra import DELTA, Laurent
 from torusskein.skein import (
     AnnularTangle,
@@ -54,6 +55,13 @@ random_words = st.builds(
     word_from_codes,
     st.sampled_from([0, 2, 4, 6]),
     st.lists(st.integers(0, 255), max_size=8),
+)
+
+# longer words on odd strand counts too, whose states pack one digit per A^2
+long_words = st.builds(
+    word_from_codes,
+    st.integers(0, 7),
+    st.lists(st.integers(0, 255), max_size=16),
 )
 
 
@@ -210,6 +218,55 @@ def test_dropping_trivial_arcs_filters_the_full_sum(tangle, cut):
     tail = AnnularTangle(head.final_width, tangle.slices[cut:])
     start = resolve_states(head, drop_trivial_arcs=True)
     assert resolve_states(tail, start=start, drop_trivial_arcs=True) == want
+
+
+@given(long_words, st.integers(0, 16), st.booleans())
+def test_packed_sum_equals_laurent_reference(tangle, cut, drop):
+    # the packed sum, whole, continued from its own packed head, and continued
+    # from a head of Laurent values, equals the Laurent sum term for term
+    want = reference_resolve_states(tangle, drop_trivial_arcs=drop)
+    assert dict(resolve_states(tangle, drop_trivial_arcs=drop)) == want
+    cut = min(cut, len(tangle.slices))
+    head = AnnularTangle(tangle.endpoints, tangle.slices[:cut])
+    tail = AnnularTangle(head.final_width, tangle.slices[cut:])
+    for start in (resolve_states(head, drop_trivial_arcs=drop),
+                  reference_resolve_states(head, drop_trivial_arcs=drop)):
+        assert dict(resolve_states(tail, start=start, drop_trivial_arcs=drop)) == want
+
+
+@pytest.mark.parametrize("bits, widened", [(8, False), (4, True)])
+def test_small_digits_refresh_bounds_exactly(monkeypatch, bits, widened):
+    # with 8-bit digits the bounds pass 2^6 and are replaced by the true sums
+    # |c|, which stay below it; with 4-bit digits a true sum reaches 2^2 and
+    # the sum restarts at 8 bits.  Either way the result is exact, and a
+    # 128-bit continuation repacks the small-digit start
+    refreshes = []
+    digits = skein._digits
+    monkeypatch.setattr(skein, "_digits", lambda n, b: refreshes.append(b) or digits(n, b))
+    monkeypatch.setattr(skein, "_DIGIT_BITS", bits)
+    word = AnnularTangle(6, sprime.rotation_slices(5, 6))
+    got = resolve_states(word, drop_trivial_arcs=True)
+    assert refreshes and (got._bits > bits) == widened
+    want = reference_resolve_states(word, drop_trivial_arcs=True)
+    assert dict(got) == want and max(abs(c) for v in want.values() for c in v.terms.values()) == 5
+    tail = AnnularTangle(6, (cap(5), cap(3), cap(1)))
+    monkeypatch.setattr(skein, "_DIGIT_BITS", 128)
+    assert dict(resolve_states(tail, start=got)) == reference_resolve_states(tail, start=want)
+
+
+def test_mixed_class_merge_raises():
+    # cap(0) merges the plain pair with its turnback, whose closed loop brings
+    # A^-2 and A^2: their coefficients must differ by A^(2 mod 4), as a
+    # crossing's two smoothings do, or the packed sum is refused
+    plain = skein._initial_state(2)
+    turned, _ = skein._turnback(plain, 0)
+    capped = AnnularTangle(2, (cap(0),))
+    assert dict(resolve_states(capped, start={plain: A(1), turned: A(-1)})) == {
+        ((), ((0, 1, 0),), 0): Laurent({-3: -1})}
+    with pytest.raises(PlanarityError, match="differ mod 4"):
+        resolve_states(capped, start={plain: Laurent.one(), turned: Laurent.one()})
+    with pytest.raises(PlanarityError, match="mixes exponent classes mod 4"):
+        resolve_states(capped, start={plain: Laurent.one() + A(2)})
 
 
 @given(random_words, st.integers(0, 7), st.sampled_from([1, -1]))

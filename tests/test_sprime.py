@@ -5,7 +5,7 @@ import json
 from itertools import islice
 
 import pytest
-from conftest import basis_tangle, clear_sprime_caches
+from conftest import basis_tangle, clear_sprime_caches, scale
 
 from torusskein import skein, sprime
 from torusskein.algebra import DELTA, Laurent, UniPoly, chebyshev_terms
@@ -165,7 +165,7 @@ def _rotated_null_relation(slope, k, n):
     """Coefficients (by loop power) of rotate(null_tangle(k, n)), resolved as
     one word, collar then tangle: the reference for the relation."""
     norm = A(rotation_norm_exponent(slope, 2 * k))
-    el = resolve(rotate(null_tangle(k, n), slope), drop_trivial_arcs=True).scale(norm)
+    el = scale(resolve(rotate(null_tangle(k, n), slope), drop_trivial_arcs=True), norm)
     return list(winding_part(el, k).coeffs)
 
 
@@ -305,7 +305,7 @@ def test_rotated_element_matches_full_word():
         for k in (1, 2, 3):
             norm = Laurent.A(rotation_norm_exponent(slope, 2 * k))
             for t in _rotated_tangles(slope, k):
-                want = resolve(rotate(t, slope), drop_trivial_arcs=True).scale(norm)
+                want = scale(resolve(rotate(t, slope), drop_trivial_arcs=True), norm)
                 assert rotated_element(t, slope) == want, (slope, k, t)
 
 
