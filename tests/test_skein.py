@@ -242,7 +242,12 @@ def test_small_digits_refresh_bounds_exactly(monkeypatch, bits, widened):
     # 128-bit continuation repacks the small-digit start
     refreshes = []
     digits = skein._digits
-    monkeypatch.setattr(skein, "_digits", lambda n, b: refreshes.append(b) or digits(n, b))
+
+    def counted(n, b):
+        refreshes.append(b)
+        return digits(n, b)
+
+    monkeypatch.setattr(skein, "_digits", counted)
     monkeypatch.setattr(skein, "_DIGIT_BITS", bits)
     word = AnnularTangle(6, sprime.rotation_slices(5, 6))
     got = resolve_states(word, drop_trivial_arcs=True)
