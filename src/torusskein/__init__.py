@@ -5,12 +5,8 @@ from .charvariety import (
     AdmissiblePair,
     Component,
     TorusKnotConfig,
-    abelian_parametrization,
     admissible_pairs,
     components,
-    degree,
-    leading_coeff_vector,
-    restrict_to_component,
 )
 from .skein import (
     AnnularTangle,

@@ -6,7 +6,7 @@ builds the Chebyshev polynomials in each of them:
 * :class:`Laurent` -- Laurent polynomials in the framing variable ``A`` with
   arbitrary-precision integer coefficients; the ground ring of all skein
   computations.
-* :class:`UniPoly` -- dense univariate polynomials over ints, floats or
+* :class:`UniPoly` -- dense univariate polynomials over ints or
   :class:`Laurent`.  Over Laurent, ``%`` and ``pow(f, n, mod)`` work
   modulo a polynomial with a unit leading coefficient: the quotient
   S'(T, 2k) is such a ring.
@@ -68,14 +68,8 @@ def _scalar_term(c, mon: str) -> tuple[bool, str]:
     neg = c < 0
     ac = -c if neg else c
     if not mon:
-        return neg, _fmt_scalar(ac)
-    return neg, mon if ac == 1 else f"{_fmt_scalar(ac)}*{mon}"
-
-
-def _fmt_scalar(c) -> str:
-    if isinstance(c, float) and c == int(c):
-        return str(int(c))
-    return str(c)
+        return neg, str(ac)
+    return neg, mon if ac == 1 else f"{ac}*{mon}"
 
 
 class _Sparse:
@@ -255,7 +249,7 @@ DELTA = Laurent.loop_value()
 class UniPoly:
     """Dense univariate polynomial; the variable is a one-letter tag.
 
-    Coefficients are ints, floats or Laurent values.  Mixing different
+    Coefficients are ints or Laurent values.  Mixing different
     variable tags in one operation is a usage error.  The Chebyshev
     polynomials in s and w come from :func:`chebyshev_terms`.
     """
@@ -321,7 +315,7 @@ class UniPoly:
         self._check(other)
         if not self.coeffs or not other.coeffs:
             return UniPoly(self.var)
-        # the zero of the coefficient ring (int(), float() or Laurent()),
+        # the zero of the coefficient ring (int() or Laurent()),
         # so that a slot no product reaches holds the same type as the rest
         out = [type(self.coeffs[-1])()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -451,32 +445,10 @@ class TracePoly(_Sparse):
         """Multiply by the monomial x^a y^b z^c, keeping the term order."""
         return TracePoly._wrap({(i + a, j + b, k + c): v for (i, j, k), v in self.terms.items()})
 
-    def degree_in(self, axis: int) -> int:
-        """Largest exponent of x (axis 0), y (1) or z (2); 0 for the zero poly."""
-        if not self.terms:
-            return 0
-        return max(key[axis] for key in self.terms)
-
     def evaluate(self, xv, yv, zv):
         out = 0
         for (i, j, k), c in self.terms.items():
             out = out + c * xv ** i * yv ** j * zv ** k
-        return out
-
-    def z_profile(self, xv, yv) -> list:
-        """Coefficients of z^0, z^1, ... after substituting numbers for x, y."""
-        out = [0] * (self.degree_in(2) + 1)
-        for (i, j, k), c in self.terms.items():
-            out[k] = out[k] + c * xv ** i * yv ** j
-        return out
-
-    def substitute(self, sx: UniPoly, sy: UniPoly, sz: UniPoly) -> UniPoly:
-        """Compose with univariate substitutions sharing one variable tag."""
-        if not (sx.var == sy.var == sz.var):
-            raise ValueError("substitutions must share one variable")
-        out = UniPoly(sx.var)
-        for (i, j, k), c in sorted(self.terms.items()):
-            out = out + (sx ** i) * (sy ** j) * (sz ** k) * c
         return out
 
     @staticmethod

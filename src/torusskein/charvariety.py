@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .algebra import TracePoly, UniPoly, chebyshev, chebyshev_terms
+from .algebra import TracePoly, chebyshev_terms
 
 
 @dataclass(frozen=True)
@@ -94,56 +94,6 @@ def components(cfg: TorusKnotConfig) -> list[Component]:
     """The abelian line followed by one component per admissible pair."""
     out = [Component(cfg)]
     out.extend(Component(cfg, pair) for pair in admissible_pairs(cfg))
-    return out
-
-
-def abelian_parametrization(cfg: TorusKnotConfig) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(x, y, z) along the abelian line, as polynomials in s = t + 1/t."""
-    return chebyshev(cfg.p), chebyshev(cfg.q), chebyshev(cfg.p + cfg.q)
-
-
-def restrict_to_component(
-    f: TracePoly,
-    comp: Component,
-    trim_tol: float = 1e-10,
-) -> UniPoly:
-    """Restriction of f to one component.
-
-    Irreducible component: substitute the constant x and y, leaving a float
-    polynomial in z; coefficients within trim_tol (scaled by the largest one)
-    of zero are dropped.  Abelian component: exact composition with the
-    parametrization, an integer polynomial in s.
-    """
-    if comp.kind == "abelian":
-        sx, sy, sz = abelian_parametrization(comp.cfg)
-        return f.substitute(sx, sy, sz)
-    profile = [float(c) for c in f.z_profile(comp.x_const, comp.y_const)]
-    scale = max([1.0] + [abs(c) for c in profile])
-    profile = [0.0 if abs(c) <= trim_tol * scale else c for c in profile]
-    return UniPoly("z", profile)
-
-
-def degree(f: TracePoly, cfg: TorusKnotConfig) -> int:
-    """Max z-degree of f restricted to the irreducible components (0 if none)."""
-    best = 0
-    for pair in admissible_pairs(cfg):
-        r = restrict_to_component(f, Component(cfg, pair))
-        best = max(best, r.degree)
-    return best
-
-
-def leading_coeff_vector(f: TracePoly, d: int, cfg: TorusKnotConfig) -> list[float]:
-    """Coefficient of z^d in the restriction of f, per admissible pair.
-
-    Requires degree(f, cfg) <= d; entries are 0.0 where the restriction has
-    lower degree.
-    """
-    if degree(f, cfg) > d:
-        raise ValueError("degree of f exceeds the requested grade")
-    out = []
-    for pair in admissible_pairs(cfg):
-        r = restrict_to_component(f, Component(cfg, pair))
-        out.append(float(r[d]) if d <= r.degree else 0.0)
     return out
 
 

@@ -14,7 +14,7 @@
    numerator pairing (x with s, y with t) is the one consistent with
    x = tr(u); the tests build the product form and the flipped pairing, a
    deliberately wrong negative control, themselves.
-3. :func:`numeric_stack` -- explicit 2x2 matrices for representations on
+3. :func:`sample_stack` -- explicit 2x2 matrices for representations on
    chosen irreducible components, one per sample, for float cross-checks.
 
 :func:`trace_values` and :func:`numeric_traces` evaluate a whole (i, j)
@@ -197,13 +197,6 @@ def validate_stack(us, vs, xs, ys, zs) -> None:
             raise ValueError(message)
 
 
-def numeric_stack(pairs, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_stack` at the constant traces x_c, y_c of each pair's
-    component."""
-    comps = [Component(cfg, pair) for pair in pairs]
-    return sample_stack(pairs, [c.x_const for c in comps], [c.y_const for c in comps], zs, cfg)
-
-
 def sample_stack(pairs, xs, ys, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Matrices U, V with tr U = x, tr V = y, tr UV = z for each sample
     (pair, x, y, z), x and y the constant traces of the pair's component,
@@ -233,9 +226,11 @@ def sample_stack(pairs, xs, ys, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, n
 
 
 def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) -> tuple:
-    """(U, V) of :func:`numeric_stack` for one sample.  The benchmark's tracer
-    looks up this name, so it stays until its metrics go."""
-    us, vs = numeric_stack([pair], [z_param], cfg)
+    """(U, V) of :func:`sample_stack` for one sample, at the constant traces
+    x_c, y_c of the pair's component.  The benchmark's tracer looks up this
+    name, so it stays until its metrics go."""
+    comp = Component(cfg, pair)
+    us, vs = sample_stack([pair], [comp.x_const], [comp.y_const], [z_param], cfg)
     return us[0], vs[0]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusskein import skein, sprime
-from torusskein.algebra import DELTA, Laurent, TracePoly, chebyshev_terms
+from torusskein.algebra import DELTA, Laurent, TracePoly, UniPoly, chebyshev_terms
 from torusskein.skein import AnnularTangle, BudgetError, SkeinElement, turn_slices
 
 hypothesis.settings.register_profile(
@@ -116,11 +116,41 @@ def basis_tangle(k, j, slope):
     return AnnularTangle(2 * k, turn_slices(j, 2 * k) + sprime.null_tangle(k, 0).slices)
 
 
+def z_coefficient(f, k):
+    """The coefficient of z^k in the TracePoly f, a polynomial in x and y."""
+    return TracePoly({(i, j, 0): c for (i, j, e), c in f.terms.items() if e == k})
+
+
+def z_part_closed_form(i, j):
+    """z S_(i-1)(x) S_(j-1)(y), the part of tr(u^i v^j) that holds z (i, j >= 1).
+
+    By Cayley-Hamilton, M^n = S_(n-1)(tr M) M - S_(n-2)(tr M) for M in SL2,
+    so tr(U^i V^j) = S_(i-1)(x) S_(j-1)(y) tr(UV) plus terms in x and y
+    alone.  The S_n are the second-kind ``chebyshev_terms`` over x and y.
+    """
+    if i < 1 or j < 1:
+        raise ValueError("the closed form needs i, j >= 1")
+    sx = next(islice(chebyshev_terms(TracePoly.x(), 1), i - 1, None))
+    sy = next(islice(chebyshev_terms(TracePoly.y(), 1), j - 1, None))
+    return TracePoly.z() * sx * sy
+
+
+def substitute(f, sx, sy, sz):
+    """The TracePoly f composed with UniPolys sx, sy, sz in one variable: an
+    oracle for f along a parametrized curve, such as the abelian line
+    s -> (T_p(s), T_q(s), T_(p+q)(s))."""
+    out = UniPoly(sx.var)
+    for (i, j, k), c in f.terms.items():
+        out = out + sx ** i * sy ** j * sz ** k * c
+    return out
+
+
 def leading_z_coeff(i, j, pair, cfg):
     """Closed-form z-coefficient of tr(u^i v^j) on one irreducible component.
 
-    Equals sin(i k pi/q) sin(j l pi/p) / (sin(k pi/q) sin(l pi/p)); requires
-    i, j >= 1.  An oracle for the restrictions of ``traces.trace_word``.
+    Equals sin(i k pi/q) sin(j l pi/p) / (sin(k pi/q) sin(l pi/p)), which is
+    S_(i-1)(x_c) S_(j-1)(y_c); requires i, j >= 1.  An oracle for the
+    z-coefficient of ``traces.trace_word`` at a component's constant traces.
     """
     if i < 1 or j < 1:
         raise ValueError("the closed form needs i, j >= 1")

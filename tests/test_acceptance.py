@@ -9,15 +9,10 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import leading_z_coeff, scale
+from conftest import leading_z_coeff, scale, z_coefficient, z_part_closed_form
 
 from torusskein.algebra import Laurent, UniPoly
-from torusskein.charvariety import (
-    Component,
-    TorusKnotConfig,
-    admissible_pairs,
-    restrict_to_component,
-)
+from torusskein.charvariety import Component, TorusKnotConfig, admissible_pairs
 from torusskein.assembly import (
     deg0_basis,
     deg0_degree,
@@ -89,7 +84,6 @@ def test_criterion_2_trace_triple_agreement():
         for p, q in TRACE_CONFIGS:
             cfg = TorusKnotConfig(p, q)
             pairs = admissible_pairs(cfg)
-            profiles = {}
             for _ in range(20):
                 pair = pairs[int(rng.integers(len(pairs)))]
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -102,26 +96,24 @@ def test_criterion_2_trace_triple_agreement():
                     vpow.append(vpow[-1] @ v)
                 for i in range(13):
                     for j in range(13):
-                        key = (pair, i, j)
-                        if key not in profiles:
-                            profiles[key] = trace_word(i, j).z_profile(
-                                comp.x_const, comp.y_const)
-                        prof = profiles[key]
-                        want = sum(c * z ** e for e, c in enumerate(prof))
+                        want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
                         got = np.trace(upow[i] @ vpow[j])
                         assert abs(complex(want) - got) < 1e-9, (p, q, pair, i, j)
 
 
 def test_criterion_3_leading_coefficient_formula():
     with criterion("leading z-coefficient sine formula, 1 <= i, j <= 8", 5.0):
-        for p, q in TRACE_CONFIGS:
-            cfg = TorusKnotConfig(p, q)
-            for pair in admissible_pairs(cfg):
-                comp = Component(cfg, pair)
-                for i in range(1, 9):
-                    for j in range(1, 9):
-                        r = restrict_to_component(trace_word(i, j), comp)
-                        got = r[1] if r.degree >= 1 else 0.0
+        for i in range(1, 9):
+            for j in range(1, 9):
+                # the z-part of tr(u^i v^j) is z S_(i-1)(x) S_(j-1)(y), exactly
+                word, closed = trace_word(i, j), z_part_closed_form(i, j)
+                assert word - z_coefficient(word, 0) == closed, (i, j)
+                lead = z_coefficient(closed, 1)
+                for p, q in TRACE_CONFIGS:
+                    cfg = TorusKnotConfig(p, q)
+                    for pair in admissible_pairs(cfg):
+                        comp = Component(cfg, pair)
+                        got = lead.evaluate(comp.x_const, comp.y_const, 0)
                         assert abs(got - leading_z_coeff(i, j, pair, cfg)) < 1e-9
 
 

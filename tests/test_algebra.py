@@ -1,4 +1,4 @@
-"""Exact ring arithmetic, Chebyshev-style trace polynomials, substitution."""
+"""Exact ring arithmetic and Chebyshev-style trace polynomials."""
 
 import inspect
 import sys
@@ -194,26 +194,6 @@ def test_trace_poly_rendering_graded_lex():
     assert str(g) == "-x^3 + x*y + 2"
 
 
-def test_substitute_projection_and_constant():
-    sx, sy, sz = chebyshev(2), chebyshev(3), chebyshev(5)
-    assert TracePoly.z().substitute(sx, sy, sz) == sz
-    assert TracePoly.constant(1).substitute(sx, sy, sz) == UniPoly("s", (1,))
-
-
-def test_substitute_xy_product():
-    sx, sy, sz = chebyshev(2), chebyshev(3), chebyshev(5)
-    f = TracePoly.x() * TracePoly.y()
-    assert f.substitute(sx, sy, sz) == chebyshev(2) * chebyshev(3)
-
-
-@given(trace_polys(), trace_polys())
-def test_substitute_is_multiplicative(f, g):
-    sx, sy, sz = chebyshev(2), chebyshev(3), chebyshev(5)
-    lhs = (f * g).substitute(sx, sy, sz)
-    rhs = f.substitute(sx, sy, sz) * g.substitute(sx, sy, sz)
-    assert lhs == rhs
-
-
 @given(trace_polys(), trace_polys())
 def test_trace_poly_ring_laws(f, g):
     assert f + g == g + f
@@ -224,7 +204,6 @@ def test_trace_poly_ring_laws(f, g):
 def test_trace_poly_evaluate_matches_terms():
     f = TracePoly.x() ** 2 * TracePoly.z() - 3 * TracePoly.y()
     assert f.evaluate(2, 1, 5) == 2 ** 2 * 5 - 3
-    assert f.z_profile(2, 1) == [-3, 4]
 
 
 def test_trace_poly_coefficients_are_integers():

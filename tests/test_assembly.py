@@ -7,18 +7,10 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from conftest import flipped_series_table, word_trace
+from conftest import flipped_series_table, substitute, word_trace, z_coefficient
 
-from torusskein.algebra import TracePoly, chebyshev_terms
-from torusskein.charvariety import (
-    Component,
-    TorusKnotConfig,
-    abelian_parametrization,
-    admissible_pairs,
-    degree,
-    leading_coeff_vector,
-    restrict_to_component,
-)
+from torusskein.algebra import TracePoly, chebyshev, chebyshev_terms
+from torusskein.charvariety import Component, TorusKnotConfig, admissible_pairs
 from torusskein import assembly
 from torusskein.assembly import (
     Deg0,
@@ -117,10 +109,11 @@ def test_deg0_check_fails_on_a_collision(monkeypatch):
 
 def test_deg0_abelian_leading_degree():
     for cfg in (TorusKnotConfig(2, 3), TorusKnotConfig(3, 4)):
-        sx, sy, sz = abelian_parametrization(cfg)
+        # the abelian line s -> (T_p(s), T_q(s), T_(p+q)(s))
+        sx, sy, sz = chebyshev(cfg.p), chebyshev(cfg.q), chebyshev(cfg.p + cfg.q)
         basis = deg0_basis(cfg, 2 * cfg.p * cfg.q)
         for idx, f in zip(basis, basis_traces(basis, cfg)):
-            assert f.substitute(sx, sy, sz).degree == deg0_degree(idx, cfg)
+            assert substitute(f, sx, sy, sz).degree == deg0_degree(idx, cfg)
 
 
 # -- degree-k orbits ----------------------------------------------------------
@@ -148,23 +141,29 @@ def test_basis_traces_examples():
     cfg = TorusKnotConfig(2, 3)
     assert list(basis_traces([Deg0(0, 0, 0), DegK(1, 1, 1)], cfg)) == [
         TracePoly.constant(1), TracePoly.z()]
+    comps = [Component(cfg, pair) for pair in admissible_pairs(cfg)]
     for k in (1, 2, 3):
         for f in basis_traces(degk_orbits(cfg, k), cfg):
-            assert degree(f, cfg) == k
+            # z-degree k, with a z^k coefficient that is nonzero on a component
+            assert max(e for _, _, e in f.terms) == k
+            lead = z_coefficient(f, k)
+            assert any(abs(lead.evaluate(c.x_const, c.y_const, 0)) > 1e-10 for c in comps)
 
 
 def test_knot_trace_two_expressions_agree():
-    # T_q(x) and T_p(y) restrict identically on every component
+    # T_q(x) and T_p(y) take one value on every component
     for cfg in (TorusKnotConfig(2, 3), TorusKnotConfig(3, 5)):
         fx = next(islice(chebyshev_terms(TracePoly.x()), cfg.q, None))
         fy = next(islice(chebyshev_terms(TracePoly.y()), cfg.p, None))
         for comp in [Component(cfg, pr) for pr in admissible_pairs(cfg)]:
-            rx = restrict_to_component(fx, comp)
-            ry = restrict_to_component(fy, comp)
-            assert rx.degree == ry.degree == 0
-            assert abs(rx[0] - ry[0]) < 1e-9
-        sx, sy, sz = abelian_parametrization(cfg)
-        assert fx.substitute(sx, sy, sz) == fy.substitute(sx, sy, sz)
+            rx = fx.evaluate(comp.x_const, comp.y_const, 0)
+            ry = fy.evaluate(comp.x_const, comp.y_const, 0)
+            assert abs(rx - ry) < 1e-9
+        assert z_coefficient(fx, 0) == fx and z_coefficient(fy, 0) == fy
+        # and on the abelian line x = T_p(s), y = T_q(s): T_q(T_p(s)) = T_p(T_q(s))
+        on_x = next(islice(chebyshev_terms(chebyshev(cfg.p)), cfg.q, None))
+        on_y = next(islice(chebyshev_terms(chebyshev(cfg.q)), cfg.p, None))
+        assert on_x == on_y
 
 
 # -- sine matrix ---------------------------------------------------------------
@@ -194,8 +193,10 @@ def test_sine_matrix_matches_leading_coefficients():
         pairs = admissible_pairs(cfg)
         orbits = degk_orbits(cfg, 1)
         m = sine_matrix(cfg)
+        comps = [Component(cfg, pair) for pair in pairs]
         lead = np.array([
-            leading_coeff_vector(f, 1, cfg) for f in basis_traces(orbits, cfg)
+            [z_coefficient(f, 1).evaluate(c.x_const, c.y_const, 0) for c in comps]
+            for f in basis_traces(orbits, cfg)
         ])
         for c, pair in enumerate(pairs):
             factor = 2 * math.sin(math.pi * pair.k / cfg.q) * math.sin(math.pi * pair.l / cfg.p)

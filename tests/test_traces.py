@@ -13,6 +13,8 @@ from conftest import (
     leading_z_coeff,
     reference_series_table,
     word_trace,
+    z_coefficient,
+    z_part_closed_form,
 )
 
 from torusskein.algebra import TracePoly, chebyshev_terms
@@ -25,8 +27,8 @@ from torusskein.charvariety import (
 from torusskein.traces import (
     matrix_powers,
     numeric_rep,
-    numeric_stack,
     numeric_traces,
+    sample_stack,
     series_table,
     trace_values,
     trace_word,
@@ -71,7 +73,7 @@ def test_z_degree_exactly_one():
         for j in range(0, 11):
             f = trace_word(i, j)
             want = 1 if (i >= 1 and j >= 1) else 0
-            assert f.degree_in(2) == want
+            assert max(e for _, _, e in f.terms) == want
 
 
 def test_conjugation_symmetry():
@@ -92,7 +94,7 @@ def test_trace_word_recursion_stays_shallow(i, j):
         word = trace_word(i, j)
     finally:
         sys.setrecursionlimit(limit)
-    assert word.degree_in(0) == i and word.degree_in(1) == j
+    assert max(a for a, _, _ in word.terms) == i and max(b for _, b, _ in word.terms) == j
 
 
 def test_series_matches_recursion():
@@ -188,7 +190,7 @@ def test_trace_values_equal_evaluate_exactly(cfg):
 def test_numeric_rep_traces_equal_trace_exactly(cfg):
     picks = [pair for pair in admissible_pairs(cfg) for _ in range(3)]
     zs = [random_z() for _ in picks]
-    us, vs = numeric_stack(picks, zs, cfg)
+    us, vs = sample_stack(picks, *component_traces(picks, cfg), zs, cfg)
     table = numeric_traces(us, vs, 8, 8)
     assert table.shape == (len(picks), 9, 9)
     for pair, z, u, v, rows in zip(picks, zs, us, vs, table.tolist()):
@@ -245,7 +247,7 @@ def component_traces(pairs, cfg):
 def test_stacked_validation_rejects_what_validate_rejects(cfg):
     pairs = admissible_pairs(cfg)
     zs = [random_z() for _ in pairs]
-    us, vs = numeric_stack(pairs, zs, cfg)
+    us, vs = sample_stack(pairs, *component_traces(pairs, cfg), zs, cfg)
     validate_stack(us, vs, *component_traces(pairs, cfg), zs)  # a good stack passes
     for reason, (bad_u, bad_v, bad_pair, bad_z) in _broken_reps(cfg):
         with pytest.raises(ValueError, match=reason):
@@ -266,7 +268,7 @@ def test_numeric_stack_rejects_a_non_finite_z_among_finite_ones():
     zs = [random_z() for _ in pairs]
     zs[-1] = complex("nan")
     with pytest.raises(ValueError, match="not finite"):
-        numeric_stack(pairs, zs, cfg)
+        sample_stack(pairs, *component_traces(pairs, cfg), zs, cfg)
 
 
 def test_leading_z_coeff_literals():
@@ -279,12 +281,21 @@ def test_leading_z_coeff_literals():
 
 
 def test_leading_z_coeff_matches_restriction():
-    from torusskein.charvariety import restrict_to_component
+    # the z-coefficient of the word itself at the component's x_c and y_c
     for cfg in (TorusKnotConfig(2, 5), TorusKnotConfig(3, 4)):
         for pair in admissible_pairs(cfg):
             comp = Component(cfg, pair)
             for i in range(1, 6):
                 for j in range(1, 6):
-                    r = restrict_to_component(trace_word(i, j), comp)
-                    got = r[1] if r.degree >= 1 else 0.0
+                    lead = z_coefficient(trace_word(i, j), 1)
+                    got = lead.evaluate(comp.x_const, comp.y_const, 0)
                     assert abs(got - leading_z_coeff(i, j, pair, cfg)) < 1e-9
+
+
+def test_z_part_is_z_times_second_kind_product():
+    # exact, in integers: tr(u^i v^j) minus its z-free terms is
+    # z S_(i-1)(x) S_(j-1)(y), with S_n the second-kind chebyshev_terms
+    for i in range(1, 13):
+        for j in range(1, 13):
+            word = trace_word(i, j)
+            assert word - z_coefficient(word, 0) == z_part_closed_form(i, j), (i, j)
