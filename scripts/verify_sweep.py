@@ -29,14 +29,10 @@ def main() -> int:
             t0 = time.perf_counter()
             report = verify_theorem(TorusKnotConfig(p, q), max_k=max_k)
             dt = time.perf_counter() - t0
-            if report.all_passed:
-                status = "ok"
-            elif report.failed:
-                status = "FAILED"
-                failures += 1
-            else:
-                status = "REFUSED"
-                refusals += 1
+            code = report.exit_code
+            status = {0: "ok", 1: "FAILED", 3: "REFUSED"}[code]
+            failures += code == 1
+            refusals += code == 3
             print(f"  ({p},{q})  {len(report.checks):>6}  {status:>8}  {dt:8.2f}")
             for check in report.checks:
                 if not check["pass"]:

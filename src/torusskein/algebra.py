@@ -249,15 +249,18 @@ DELTA = Laurent.loop_value()
 class UniPoly:
     """Dense univariate polynomial; the variable is a one-letter tag.
 
-    Coefficients are ints or Laurent values.  Mixing different
-    variable tags in one operation is a usage error.  The Chebyshev
-    polynomials in s and w come from :func:`chebyshev_terms`.
+    Coefficients are ints or Laurent values, any other raises TypeError.
+    Mixing different variable tags in one operation is a usage error.  The
+    Chebyshev polynomials in s and w come from :func:`chebyshev_terms`.
     """
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs=()):
         coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Laurent)):
+                raise TypeError(f"UniPoly coefficient {c!r} is neither an int nor a Laurent")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "var", var)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -102,23 +103,21 @@ def orbit_partner(idx: DegK, cfg: TorusKnotConfig) -> tuple[int, int]:
     return (cfg.q - idx.j1, cfg.p - idx.j2)
 
 
-def degk_orbits(cfg: TorusKnotConfig, k: int) -> list[DegK]:
-    """Rotation orbits of winding pairs (j1, j2) in [1, q-1] x [1, p-1].
+def degk_orbits(cfg: TorusKnotConfig, k: int) -> Iterator[DegK]:
+    """Rotation orbits of winding pairs (j1, j2) in [1, q-1] x [1, p-1], lazily in lex order.
 
     The involution (j1, j2) -> (q-j1, p-j2) is fixed-point free because p
     and q cannot both be even, so there are (p-1)(q-1)/2 orbits.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    out = []
     for j1 in range(1, cfg.q):
         for j2 in range(1, cfg.p):
             partner = (cfg.q - j1, cfg.p - j2)
             if (j1, j2) == partner:
                 raise RuntimeError(f"fixed orbit at {(j1, j2)}")
             if (j1, j2) < partner:
-                out.append(DegK(k, j1, j2))
-    return out
+                yield DegK(k, j1, j2)
 
 
 def basis_traces(indices, cfg: TorusKnotConfig):
@@ -212,6 +211,11 @@ class VerificationReport:
         """The checks that failed, not counting those refused."""
         return [c for c in self.checks if not c["pass"] and not refused(c)]
 
+    @property
+    def exit_code(self) -> int:
+        """0 if every check passed, 1 if one failed, else 3: some refused, none failed."""
+        return 0 if self.all_passed else 1 if self.failed else 3
+
     def to_json(self) -> dict:
         return {"config": self.config, "checks": self.checks}
 
@@ -255,7 +259,7 @@ def _check_deg0_degrees(cfg):
 
 def _check_orbit_count(cfg, max_k):
     want = (cfg.p - 1) * (cfg.q - 1) // 2
-    counts = {k: len(degk_orbits(cfg, k)) for k in range(1, max_k + 1)}
+    counts = {k: sum(1 for _ in degk_orbits(cfg, k)) for k in range(1, max_k + 1)}
     return all(c == want for c in counts.values()), {
         "counts": counts, "expected": want}
 

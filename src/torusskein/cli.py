@@ -25,7 +25,7 @@ from .assembly import (
 )
 from .charvariety import TorusKnotConfig, admissible_pairs, components
 from .skein import STATE_BUDGET, AnnularTangle, BudgetError, PlanarityError, resolve
-from .traces import WORD_BUDGET, check_word, trace_word
+from .traces import check_word, trace_word
 
 CHEBYSHEV_BUDGET = 2 ** 10  # largest n; `chebyshev 1024` takes 0.6 s
 # bound on (D+1)(D//p+1)^2 at `skein-basis --degree 0 --bound D`: about D
@@ -40,18 +40,13 @@ ORBIT_BUDGET = 2 ** 18
 
 
 def orbit_work(cfg: TorusKnotConfig, k: int) -> int:
-    """The sum of (j1+1)(j2+1) over the degree-k orbits, before any is built;
+    """The sum of (j1+1)(j2+1) over the degree-k orbits, none of them kept;
     raises BudgetError at the first orbit word past the word budget, in lex
-    order.  The orbits (j1, j2) < (q-j1, p-j2) of a row j1 are j2 = 1..top."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    order."""
     work = 0
-    for j1 in range(1, cfg.q // 2 + 1):
-        top = cfg.p - 1 if 2 * j1 < cfg.q else (cfg.p - 1) // 2  # p is odd if q = 2*j1
-        j2 = max(1, WORD_BUDGET // (j1 + 1))  # the least j2 with (j1+1)(j2+1) past it
-        if j2 <= top:
-            check_word(j1, j2)
-        work += (j1 + 1) * top * (top + 3) // 2  # (j1+1) times the sum of j2+1
+    for o in degk_orbits(cfg, k):
+        check_word(o.j1, o.j2)
+        work += (o.j1 + 1) * (o.j2 + 1)
     return work
 
 
@@ -66,6 +61,10 @@ def _config(args) -> TorusKnotConfig:
     return TorusKnotConfig(args.p, args.q)
 
 
+def _print_json(blob) -> None:
+    print(json.dumps(blob, indent=2, sort_keys=True))
+
+
 def cmd_chebyshev(args) -> int:
     if args.n > CHEBYSHEV_BUDGET:
         raise BudgetError(f"T_{args.n}: n exceeds the Chebyshev budget of {CHEBYSHEV_BUDGET}")
@@ -77,7 +76,7 @@ def cmd_char_variety(args) -> int:
     cfg = _config(args)
     comps = components(cfg)
     if args.json:
-        print(json.dumps([c.to_json() for c in comps], indent=2, sort_keys=True))
+        _print_json([c.to_json() for c in comps])
         return 0
     pairs = admissible_pairs(cfg)
     print(f"character variety of the ({cfg.p},{cfg.q}) torus-knot group:")
@@ -101,7 +100,7 @@ def cmd_bracket(args) -> int:
         tangle = AnnularTangle.from_json(json.load(fh))
     el = resolve(tangle, budget=args.budget)
     if args.json:
-        print(json.dumps(el.to_json(), indent=2, sort_keys=True))
+        _print_json(el.to_json())
     else:
         print(el)
     return 0
@@ -116,38 +115,30 @@ def cmd_skein_basis(args) -> int:
             raise BudgetError(
                 f"degree-0 basis of ({cfg.p},{cfg.q}) to degree {bound}: (D+1)(D//p+1)^2 = "
                 f"{work} exceeds the basis budget of {BASIS_BUDGET}")
-        basis = deg0_basis(cfg, bound)
-        listing = zip(basis, basis_traces(basis, cfg))
-        if args.json:
-            print(json.dumps(
-                [{"m1": b.m1, "n": b.n, "m2": b.m2,
-                  "degree": deg0_degree(b, cfg),
-                  "trace": str(f)} for b, f in listing],
-                indent=2, sort_keys=True))
-            return 0
-        print(f"degree-0 basis of the ({cfg.p},{cfg.q}) skein module, "
-              f"leading degree <= {bound}:")
-        for b, f in listing:
-            print(f"  x^{b.m1} P^{b.n} y^{b.m2}  (degree {deg0_degree(b, cfg)})  -> {f}")
-        return 0
-    work = orbit_work(cfg, args.degree)
-    if work > ORBIT_BUDGET:
-        raise BudgetError(
-            f"degree-{args.degree} orbits of ({cfg.p},{cfg.q}): the sum of (j1+1)(j2+1) = "
-            f"{work} exceeds the orbit budget of {ORBIT_BUDGET}")
-    orbits = degk_orbits(cfg, args.degree)
-    listing = zip(orbits, basis_traces(orbits, cfg))
+        indices = deg0_basis(cfg, bound)
+        title = (f"degree-0 basis of the ({cfg.p},{cfg.q}) skein module, "
+                 f"leading degree <= {bound}:")
+        rows = [({"m1": b.m1, "n": b.n, "m2": b.m2, "degree": deg0_degree(b, cfg)},
+                 f"x^{b.m1} P^{b.n} y^{b.m2}  (degree {deg0_degree(b, cfg)})  -> ")
+                for b in indices]
+    else:
+        work = orbit_work(cfg, args.degree)
+        if work > ORBIT_BUDGET:
+            raise BudgetError(
+                f"degree-{args.degree} orbits of ({cfg.p},{cfg.q}): the sum of (j1+1)(j2+1) = "
+                f"{work} exceeds the orbit budget of {ORBIT_BUDGET}")
+        indices = list(degk_orbits(cfg, args.degree))
+        title = (f"degree-{args.degree} basis orbits for ({cfg.p},{cfg.q}): "
+                 f"{len(indices)} orbit(s)")
+        rows = [({"k": o.k, "j1": o.j1, "j2": o.j2, "partner": list(orbit_partner(o, cfg))},
+                 f"{{({o.j1},{o.j2}), {orbit_partner(o, cfg)}}} -> ") for o in indices]
+    listing = zip(rows, basis_traces(indices, cfg))
     if args.json:
-        print(json.dumps(
-            [{"k": o.k, "j1": o.j1, "j2": o.j2,
-              "partner": list(orbit_partner(o, cfg)),
-              "trace": str(f)} for o, f in listing],
-            indent=2, sort_keys=True))
+        _print_json([dict(fields, trace=str(f)) for (fields, _), f in listing])
         return 0
-    print(f"degree-{args.degree} basis orbits for ({cfg.p},{cfg.q}): "
-          f"{len(orbits)} orbit(s)")
-    for o, f in listing:
-        print(f"  {{({o.j1},{o.j2}), {orbit_partner(o, cfg)}}} -> {f}")
+    print(title)
+    for (_, label), f in listing:
+        print(f"  {label}{f}")
     return 0
 
 
@@ -157,7 +148,7 @@ def cmd_verify(args) -> int:
     if args.no_timings:
         for c in report.checks:
             c["ms"] = 0.0
-    code = 0 if report.all_passed else 1 if report.failed else 3
+    code = report.exit_code
     if args.json:
         print(report.json_str())
         return code

@@ -208,17 +208,6 @@ class AnnularTangle:
     def is_closed(self) -> bool:
         return self.final_width == 0
 
-    def to_json(self) -> dict:
-        out = []
-        for ev in self.slices:
-            if ev[0] == X:
-                out.append({"op": "crossing", "pos": ev[1], "sign": ev[2]})
-            elif ev[0] == ROT:
-                out.append({"op": "rot", "sign": ev[1]})
-            else:
-                out.append({"op": ev[0], "pos": ev[1]})
-        return {"endpoints": self.endpoints, "slices": out, "meta": {}}
-
     @staticmethod
     def from_json(data) -> "AnnularTangle":
         slices = []

@@ -143,6 +143,19 @@ def test_chebyshev_terms_over_s():
             assert first[n] == second[n] - second[n - 2]
 
 
+def test_unipoly_coefficients_are_ints_or_laurent():
+    # as TracePoly refuses a non-int, UniPoly refuses a coefficient outside
+    # its two rings, in the constructor and in arithmetic
+    assert UniPoly("z", (Laurent.one(), 1)).coeffs == (Laurent.one(), 1)
+    for coeffs in ((0.5, 1.0), (1.0, 1), (Fraction(1, 2), 1), ("1", 1)):
+        with pytest.raises(TypeError):
+            UniPoly("z", coeffs)
+    with pytest.raises(TypeError):
+        UniPoly.variable("z") * 0.5
+    with pytest.raises(TypeError):
+        UniPoly.variable("z") + 0.5
+
+
 def test_variable_tag_mismatch_is_error():
     try:
         chebyshev(2) + UniPoly("y", (-2, 0, 1))

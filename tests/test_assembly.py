@@ -120,12 +120,12 @@ def test_deg0_abelian_leading_degree():
 
 
 def test_orbit_counts():
-    assert len(degk_orbits(TorusKnotConfig(2, 3), 1)) == 1
+    assert len(list(degk_orbits(TorusKnotConfig(2, 3), 1))) == 1
     for k in (1, 2, 3):
-        assert len(degk_orbits(TorusKnotConfig(3, 5), k)) == 4
+        assert len(list(degk_orbits(TorusKnotConfig(3, 5), k))) == 4
     for cfg in coprime_configs(12):
         want = (cfg.p - 1) * (cfg.q - 1) // 2
-        assert len(degk_orbits(cfg, 1)) == want
+        assert len(list(degk_orbits(cfg, 1))) == want
 
 
 def test_orbits_are_free():
@@ -208,7 +208,7 @@ def test_sine_matrix_matches_leading_coefficients():
 def reference_sine_matrix(cfg):
     # the per-entry double loop the table-driven sine_matrix replaces, kept
     # as its reference: one math.sin per factor of every entry
-    orbits = degk_orbits(cfg, 1)
+    orbits = list(degk_orbits(cfg, 1))
     pairs = admissible_pairs(cfg)
     out = np.zeros((len(orbits), len(pairs)))
     for r, orb in enumerate(orbits):
@@ -407,6 +407,19 @@ def test_rotation_refusal_witness_names_the_case(state_budget):
     assert refusal == {"slope": 9, "k": 2, "budget": 20, "states": refusal["states"]}
     assert refusal["states"] > 20
     assert report.failed == [] and not report.all_passed
+
+
+def test_report_exit_code(monkeypatch, state_budget):
+    # the rule `verify` and the sweep script exit with: 0 on a pass, 1 on a
+    # failure, 3 on a refusal with no failure; a failure outranks a refusal
+    assert verify_theorem(TorusKnotConfig(2, 3), max_k=1).exit_code == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly, "series_table", flipped_series_table)
+        assert verify_theorem(TorusKnotConfig(2, 3), max_k=1).exit_code == 1
+    state_budget(20)
+    assert verify_theorem(TorusKnotConfig(2, 9), max_k=2).exit_code == 3
+    monkeypatch.setattr(assembly, "series_table", flipped_series_table)
+    assert verify_theorem(TorusKnotConfig(2, 9), max_k=2).exit_code == 1
 
 
 def test_report_json_schema():

@@ -183,27 +183,43 @@ def test_skein_basis_budget_accepts_its_largest_case(capsys):
 @pytest.mark.parametrize("p, q, budget, words", [
     (89, 97, WORD_BUDGET, "tr(u^46 v^87): (i+1)(j+1) = 4136 exceeds the word budget"),
     (1001, 1003, WORD_BUDGET, "tr(u^4 v^819): (i+1)(j+1) = 4100 exceeds the word budget"),
+    (5, 100003, WORD_BUDGET, "tr(u^819 v^4): (i+1)(j+1) = 4100 exceeds the word budget"),
     (41, 48, ORBIT_BUDGET,
      "degree-1 orbits of (41,48): the sum of (j1+1)(j2+1) = 262890 exceeds the orbit budget"),
-], ids=["89-97-4096", "1001-1003-4096", "41-48-262144"])
+], ids=["89-97-4096", "1001-1003-4096", "5-100003-4096", "41-48-262144"])
 def test_skein_basis_refuses_orbits_past_their_budgets(capsys, monkeypatch, p, q, budget, words):
     # tr(u^46 v^87) of (89, 97) is past the word budget, and the orbit words
-    # of (41, 48) together past the orbit budget: refused before any orbit
-    # or trace is built
-    monkeypatch.setattr(cli, "degk_orbits", unreachable)
+    # of (41, 48) together past the orbit budget: refused before any trace is
+    # built, after one pass over fewer than 2 * WORD_BUDGET orbits, none kept
+    visits = []
+
+    def counted_orbits(cfg, k):
+        visits.append(0)
+        for orbit in degk_orbits(cfg, k):
+            visits[-1] += 1
+            yield orbit
+    monkeypatch.setattr(cli, "degk_orbits", counted_orbits)
     monkeypatch.setattr(cli, "basis_traces", unreachable)
     for extra in ((), ("--json",)):
+        visits.clear()
         code, out, err = run_cli(capsys, "skein-basis", str(p), str(q), "--degree", "1", *extra)
         assert code == 2 and out == ""
         assert err == f"error: {words} of {budget}\n"
+        assert len(visits) == 1 and visits[0] < 2 * WORD_BUDGET
 
 
-def reference_orbit_work(cfg, k):
-    """orbit_work read off the built orbits: each word checked in lex order."""
-    orbits = degk_orbits(cfg, k)
-    for o in orbits:
-        check_word(o.j1, o.j2)
-    return sum((o.j1 + 1) * (o.j2 + 1) for o in orbits)
+def closed_form_orbit_work(cfg, k):
+    """orbit_work by rows, no orbit built: the orbits (j1, j2) < (q-j1, p-j2)
+    of a row j1 are j2 = 1..top, and only the least j2 whose word is past the
+    word budget is checked, row by row."""
+    work = 0
+    for j1 in range(1, cfg.q // 2 + 1):
+        top = cfg.p - 1 if 2 * j1 < cfg.q else (cfg.p - 1) // 2  # p is odd if q = 2*j1
+        j2 = max(1, WORD_BUDGET // (j1 + 1))  # the least j2 with (j1+1)(j2+1) past it
+        if j2 <= top:
+            check_word(j1, j2)
+        work += (j1 + 1) * top * (top + 3) // 2  # (j1+1) times the sum of j2+1
+    return work
 
 
 @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (3, 4), (4, 3), (5, 12), (12, 5),
@@ -213,7 +229,7 @@ def test_orbit_work_equals_the_orbits_reference(p, q):
     # both odd and even q, so the middle row j1 = q/2 is covered
     cfg = TorusKnotConfig(p, q)
     outcomes = []
-    for fn in (orbit_work, reference_orbit_work):
+    for fn in (orbit_work, closed_form_orbit_work):
         try:
             outcomes.append(fn(cfg, 2))
         except skein.BudgetError as exc:

@@ -404,11 +404,15 @@ def test_malformed_words_rejected():
         resolve(AnnularTangle(2, ()))  # open tangle
 
 
-def test_tangle_json_round_trip(tmp_path):
-    tangle = AnnularTangle(2, (crossing(1, -1), rot(1), cap(1)))
-    blob = tangle.to_json()
-    assert blob["endpoints"] == 2
-    assert blob["slices"][0] == {"op": "crossing", "pos": 1, "sign": -1}
+def test_tangle_json_round_trip():
+    # the README's diagram example reads back as the tangle it draws
+    blob = {"endpoints": 4, "slices": [
+        {"op": "crossing", "pos": 3, "sign": 1}, {"op": "cup", "pos": 0},
+        {"op": "cap", "pos": 1}, {"op": "rot", "sign": -1},
+        {"op": "crossing", "pos": 1, "sign": -1}, {"op": "cap", "pos": 3},
+        {"op": "cap", "pos": 0}], "meta": {}}
+    tangle = AnnularTangle(4, (crossing(3, 1), cup(0), cap(1), rot(-1),
+                               crossing(1, -1), cap(3), cap(0)))
     assert AnnularTangle.from_json(json.loads(json.dumps(blob))) == tangle
 
 
