@@ -17,12 +17,14 @@ builds the Chebyshev polynomials in each of them:
   X_0 = 2, the second kind S_n from X_0 = 1.  :func:`chebyshev` is T_n in s.
 
 Laurent and TracePoly share one sparse core, ``_Sparse``: a map from
-monomial keys to nonzero ints, with addition, negation, subtraction, powers,
-equality, hashing and immutability written once.  The results of those
-operations are built straight from maps already clean, without another pass
-through the validating constructor.  Each class adds its constructor, the
-scalars it coerces (ints, for both), its product (int exponents against
-exponent triples), and its rendering and evaluation.
+monomial keys to nonzero ints, with the validating constructor, the
+coercion of ints, addition, negation, subtraction, powers, equality, hashing
+and immutability written once.  The constructor refuses a coefficient or a
+key entry that is not an int (a Fraction, a float) rather than truncate it.
+The results of ring operations are built straight from maps already clean,
+without another pass through the constructor.  Each class adds its monomial
+key (an int exponent, or an exponent triple), its product, and its
+rendering and evaluation.
 
 All values are immutable after construction; every operation is pure, so
 values can be shared freely across threads.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import operator
 from itertools import islice
-from typing import Mapping
 
 
 def _power(base, n: int, one, mod=None):
@@ -75,12 +76,31 @@ def _scalar_term(c, mon: str) -> tuple[bool, str]:
 class _Sparse:
     """Sparse integer polynomial: ``terms`` maps monomial keys to nonzero ints.
 
-    A subclass supplies its validating ``__init__``, ``_coerce`` (its own
-    values and the scalars it accepts, else NotImplemented), ``__mul__`` and
-    ``_CONSTANT``, the key of the constant monomial.
+    A subclass supplies ``_key``, which checks one monomial key (an
+    exponent, or an exponent triple), ``_CONSTANT``, the key of the constant
+    monomial, and ``__mul__``.  Coefficients and key entries go through
+    ``operator.index``: any value that is not an int raises TypeError.
     """
 
     __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                c = operator.index(c)
+                if c:
+                    clean[self._key(key)] = c
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _coerce(cls, v):
+        """``v`` as a value of this class, if it is one or an int, else NotImplemented."""
+        if isinstance(v, cls):
+            return v
+        if isinstance(v, int):
+            return cls._wrap({cls._CONSTANT: operator.index(v)} if v else {})
+        return NotImplemented
 
     @classmethod
     def _wrap(cls, clean: dict):
@@ -92,13 +112,14 @@ class _Sparse:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1, /):
+        # sign -1 gives self - other in the same pass, with no negated copy
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         r = dict(self.terms)
         for key, c in other.terms.items():
-            s = r.get(key, 0) + c
+            s = r.get(key, 0) + sign * c
             if s:
                 r[key] = s
             else:
@@ -111,17 +132,7 @@ class _Sparse:
         return self._wrap({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        r = dict(self.terms)
-        for key, c in other.terms.items():
-            s = r.get(key, 0) - c
-            if s:
-                r[key] = s
-            else:
-                r.pop(key, None)
-        return self._wrap(r)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)  # NotImplemented when other is no scalar
@@ -151,22 +162,7 @@ class Laurent(_Sparse):
 
     __slots__ = ()
     _CONSTANT = 0
-
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = c
-        object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, Laurent):
-            return v
-        if isinstance(v, int):
-            return Laurent._wrap({0: v} if v else {})
-        return NotImplemented
+    _key = staticmethod(operator.index)
 
     # -- constructors ------------------------------------------------------
 
@@ -394,22 +390,10 @@ class TracePoly(_Sparse):
     __slots__ = ()
     _CONSTANT = (0, 0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
-        clean: dict[tuple[int, int, int], int] = {}
-        if terms:
-            for key, c in terms.items():
-                c = operator.index(c)
-                if c:
-                    clean[(int(key[0]), int(key[1]), int(key[2]))] = c
-        object.__setattr__(self, "terms", clean)
-
     @staticmethod
-    def _coerce(v):
-        if isinstance(v, TracePoly):
-            return v
-        if isinstance(v, int):
-            return TracePoly.constant(v)
-        return NotImplemented
+    def _key(key):
+        i, j, k = map(operator.index, key)
+        return i, j, k
 
     @staticmethod
     def constant(c) -> "TracePoly":
@@ -454,16 +438,12 @@ class TracePoly(_Sparse):
             out = out + c * xv ** i * yv ** j * zv ** k
         return out
 
-    @staticmethod
-    def _order_key(key):
-        # graded lexicographic, largest first
-        return (sum(key), key)
-
     def __str__(self):
+        # graded lexicographic, largest first
         return _signed_sum(
             _scalar_term(self.terms[key], "*".join(
                 (var if e == 1 else f"{var}^{e}") for var, e in zip("xyz", key) if e))
-            for key in sorted(self.terms, key=self._order_key, reverse=True))
+            for key in sorted(self.terms, key=lambda key: (sum(key), key), reverse=True))
 
     def __repr__(self):
         return f"TracePoly({self})"

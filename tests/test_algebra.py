@@ -220,14 +220,16 @@ def test_trace_poly_evaluate_matches_terms():
 
 
 def test_trace_poly_coefficients_are_integers():
-    # an int coefficient is stored as given; any other scalar, integral or
-    # not, is refused, never truncated
+    # in both sparse classes an int coefficient or exponent is stored as
+    # given; any other scalar, integral or not, is refused, never truncated
     assert type(TracePoly.constant(3).terms[(0, 0, 0)]) is int
+    assert Laurent({2: 3}).terms == {2: 3}
     for c in (Fraction(1, 2), Fraction(7, 3), Fraction(3), 0.5, 3.0):
-        with pytest.raises(TypeError):
-            TracePoly({(1, 0, 0): c})
-        with pytest.raises(TypeError):
-            TracePoly.constant(c)
+        for build in (lambda: TracePoly({(1, 0, 0): c}), lambda: TracePoly.constant(c),
+                      lambda: TracePoly({(1, c, 0): 1}), lambda: TracePoly.x(c),
+                      lambda: Laurent({1: c}), lambda: Laurent({c: 1}), lambda: A(c)):
+            with pytest.raises(TypeError):
+                build()
 
 
 def test_trace_poly_compares_with_non_integral_fraction():

@@ -1,5 +1,5 @@
-"""The in-package PCG64 stream against numpy's default_rng, and the import
-it saves."""
+"""The in-package PCG64 stream against numpy's default_rng, and the imports
+the package saves."""
 
 import os
 import subprocess
@@ -71,3 +71,18 @@ def test_verify_leaves_numpy_random_unimported():
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
     assert "torusskein.assembly" in imported and "numpy.linalg" in imported
     assert "numpy.random" not in imported
+
+
+def test_exact_skein_side_imports_no_numpy():
+    # algebra, skein, sprime and charvariety are exact: importing them pulls
+    # in no numpy, since the package's __init__ imports nothing
+    src = Path(torusskein.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import torusskein.sprime, torusskein.charvariety"],
+        capture_output=True, text=True, env=env, check=True)
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"torusskein.algebra", "torusskein.skein", "torusskein.sprime",
+            "torusskein.charvariety"} <= imported
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
