@@ -13,6 +13,8 @@ importing ``numpy.random``, and whatever numpy later does to its Generator.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG's 128-bit multiplier
 
@@ -22,9 +24,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _seed_words(seed: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _seed_words(seed: int) -> tuple[int, ...]:
     """SeedSequence(seed).generate_state(8): the pool mixed from the seed's
-    32-bit words, then eight words hashed from the pool in turn."""
+    32-bit words, then eight words hashed from the pool in turn.  Memoised,
+    since every knot of a run draws from the same seed."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -55,7 +59,7 @@ def _seed_words(seed: int) -> list[int]:
         hash_const = hash_const * _MULT_B & _M32
         value = value * hash_const & _M32
         out.append(value ^ value >> 16)
-    return out
+    return tuple(out)
 
 
 class Generator:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .algebra import TracePoly, chebyshev_terms
@@ -80,14 +81,16 @@ class Component:
                 "x_c": self.x_const, "y_c": self.y_const}
 
 
+@lru_cache(maxsize=None)
+def _admissible_pairs(p: int, q: int) -> tuple[AdmissiblePair, ...]:
+    return tuple(AdmissiblePair(k, l) for k in range(1, q) for l in range(1, p)
+                 if (k - l) % 2 == 0)
+
+
 def admissible_pairs(cfg: TorusKnotConfig) -> list[AdmissiblePair]:
-    """All (k, l) with k in [1, q-1], l in [1, p-1], k = l mod 2, lex order."""
-    return [
-        AdmissiblePair(k, l)
-        for k in range(1, cfg.q)
-        for l in range(1, cfg.p)
-        if (k - l) % 2 == 0
-    ]
+    """All (k, l) with k in [1, q-1], l in [1, p-1], k = l mod 2, lex order:
+    a fresh list on every call, of pairs built once per (p, q)."""
+    return list(_admissible_pairs(cfg.p, cfg.q))
 
 
 def components(cfg: TorusKnotConfig) -> list[Component]:

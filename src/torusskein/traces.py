@@ -20,12 +20,13 @@
 :func:`trace_values` and :func:`numeric_traces` evaluate a whole (i, j)
 table of routes 1 and 3 at a stack of samples in one batch.  The exact
 route holds its terms as (term, sample) rows, term t of every word before
-term t+1 of any, multiplies each term once and adds each word's terms in
-order, one contiguous block of rows per term position; the numeric route
-takes the powers of U and V for all samples from shared squares and forms
-only the diagonal of each product U^i V^j.  Each value is bit for bit the
-per-entry :meth:`TracePoly.evaluate` or
-np.trace(matrix_power(U, i) @ matrix_power(V, j)).
+term t+1 of any, forms every term's value in one product for each of three
+runs of rows, and adds each word's terms in order, one in-place add of a
+contiguous block of rows per term position; the numeric route takes the
+powers of U and V for all samples from shared squares, those with one top
+bit in one stacked product, and forms only the diagonal of each product
+U^i V^j.  Each value is bit for bit the per-entry
+:meth:`TracePoly.evaluate` or np.trace(matrix_power(U, i) @ matrix_power(V, j)).
 The exact polynomials have int coefficients, so routes 1 and 2 run in
 integer arithmetic.
 
@@ -40,7 +41,7 @@ import cmath
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .charvariety import AdmissiblePair, Component, TorusKnotConfig
 from .skein import BudgetError
 
 SERIES_MAX = 16
+_TERM_PARTS = 3  # runs of term positions that trace_values forms one at a time
 WORD_BUDGET = 2 ** 12  # bound on (i+1)(j+1); `trace-poly 63 63` takes 0.4 s
 
 
@@ -96,12 +98,14 @@ def trace_word(i: int, j: int) -> TracePoly:
 def _term_layout(max_ij: int) -> tuple:
     """The terms of every trace_word(i, j), i, j <= max_ij, laid out flat.
 
-    Returns (c, a, b, e, counts, order).  The words are ranked by term
-    count, longest first; c holds each term as float(c) (what ``c * float``
-    computes inside TracePoly.evaluate) and a, b, e its exponents of x, y,
-    z, with term t of every word before term t+1 of any.  counts[t] is the
-    number of words with more than t terms, a prefix of the ranking, and
-    order[w] the rank of word i*(max_ij+1) + j.
+    Returns (parts, order).  The words are ranked by term count, longest
+    first, with term t of every word before term t+1 of any.  counts[t] is
+    the number of words with more than t terms, a prefix of the ranking.
+    The term positions are cut into _TERM_PARTS runs of about equal term
+    counts, and each part is (c, a, b, e, counts) of its run: c holds each
+    term as float(c) (what ``c * float`` computes inside
+    TracePoly.evaluate), as a column, and a, b, e its exponents of x, y, z.
+    order[w] is the rank of word i*(max_ij+1) + j.
     """
     n = max_ij + 1
     words = [list(trace_word(i, j).terms.items()) for i in range(n) for j in range(n)]
@@ -110,9 +114,16 @@ def _term_layout(max_ij: int) -> tuple:
     negated = [-len(words[w]) for w in ranked]
     counts = [bisect_left(negated, -t) for t in range(-negated[0])]
     flat = [words[w][t] for t, m in enumerate(counts) for w in ranked[:m]]
-    coeffs = np.array([float(c) for _, c in flat])
+    coeffs = np.array([float(c) for _, c in flat])[:, None]
     expos = np.array([e for key, _ in flat for e in key], dtype=np.intp).reshape(-1, 3).T
-    return (coeffs, *expos, tuple(counts), np.argsort(ranked))
+    # ends[t] is the first term row of position t; each cut is the first
+    # position end at or past the next share of the rows
+    ends = [0, *accumulate(counts)]
+    cuts = sorted({0, len(counts), *(bisect_left(ends, len(flat) * k / _TERM_PARTS)
+                                      for k in range(1, _TERM_PARTS))})
+    parts = tuple((coeffs[ends[i]:ends[j]], *expos[:, ends[i]:ends[j]], tuple(counts[i:j]))
+                  for i, j in zip(cuts, cuts[1:]))
+    return parts, np.argsort(ranked)
 
 
 def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
@@ -120,28 +131,37 @@ def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
 
     Entry [s, i, j] is trace_word(i, j).evaluate(xs[s], ys[s], zs[s]) bit
     for bit, for float xs and ys and for zs all float or all complex: each
-    power is taken with ``**``, every term multiplied once as
-    c*x^a*y^b*z^e, and each word's terms added in its term order from +0,
-    one term position at a time over all samples (np.sum would add
-    pairwise, in another order).
+    power is taken with ``**``, every term's value c*x^a*y^b*z^e is formed
+    in one product over the (term, sample) rows of each part of the layout,
+    and each word's terms are added in its term order from +0, one in-place
+    add per term position over all samples (np.sum would add pairwise, in
+    another order).
     """
     n = max_ij + 1
     # (power, sample) tables, so that the terms below are (term, sample)
     # rows and every term position is one contiguous block of them
-    xp, yp, zp = (np.array([[v ** m for v in vs] for m in range(n)])
+    xp, yp, zp = (np.array([v ** m for m in range(n) for v in vs]).reshape(n, -1)
                   for vs in (xs, ys, zs))
-    c, a, b, e, counts, order = _term_layout(max_ij)
-    # the real part c*x^a*y^b of every term, in place: each product
-    # commutes, so it rounds as left to right, and no (terms, S) complex
-    # array is formed; z^e joins one term position at a time
-    real = xp[a]
-    real *= c[:, None]
-    real *= yp[b]
+    parts, order = _term_layout(max_ij)
     acc = np.zeros((n * n, len(zs)), dtype=zp.dtype)
-    start = 0
-    for m in counts:
-        acc[:m] += real[start:start + m] * zp[e[start:start + m]]
-        start += m
+    # one part at a time: a complex array of all the rows, with numpy's
+    # cast of real to complex for the product, would double the peak
+    # memory here, from about 0.3 to 0.6 MB at 20 samples and max_ij = 8
+    for c, a, b, e, counts in parts:
+        # c*x^a*y^b rounds as left to right, since each product commutes;
+        # it multiplies the gathered z^e in place, which rounds as
+        # (c*x^a*y^b)*z^e: a complex product's parts are products and sums,
+        # and both commute
+        real = xp[a]
+        real *= c
+        real *= yp[b]
+        terms = zp[e]
+        terms *= real
+        start = 0
+        for m in counts:
+            words = acc[:m]
+            words += terms[start:start + m]
+            start += m
     return acc[order].T.reshape(-1, n, n)
 
 
@@ -217,8 +237,9 @@ def sample_stack(pairs, xs, ys, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, n
             raise ValueError(f"degenerate eigenvalue data for pair {pair}")
         a = (z - y / xi) / denom
         d = y - a
-        us.append([[xi, 0.0], [0.0, 1 / xi]])
-        vs.append([[a, 1.0], [a * d - 1.0, d]])
+        # flat lists: numpy reads them faster than nested ones
+        us.extend((xi, 0.0, 0.0, 1 / xi))
+        vs.extend((a, 1.0, a * d - 1.0, d))
     us = np.array(us, dtype=complex).reshape(-1, 2, 2)
     vs = np.array(vs, dtype=complex).reshape(-1, 2, 2)
     validate_stack(us, vs, xs, ys, zs)
@@ -234,22 +255,28 @@ def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) ->
     return us[0], vs[0]
 
 
-def matrix_powers(a: np.ndarray, top: int) -> list:
-    """[a^0, ..., a^top] of a stack of matrices, each bit for bit
-    np.linalg.matrix_power's: every square a^(2^b) is taken once, and a^n
-    folds the squares of the set bits of n, lowest first, as matrix_power
-    does past its shortcuts a^0, a^1 and a^3 = (a a) a."""
-    powers, squares = [np.linalg.matrix_power(a, 0), a], [a]
-    for n in range(2, top + 1):
-        high = n.bit_length() - 1
-        rest = n - (1 << high)
-        if not rest:
-            squares.append(squares[-1] @ squares[-1])
-        # matrix_power's running product over the lower bits of n is powers[rest]
-        powers.append(powers[rest] @ squares[high] if rest else squares[high])
+def matrix_powers(a: np.ndarray, top: int) -> np.ndarray:
+    """a^0, ..., a^top of a stack of matrices, stacked along a new first
+    axis, each bit for bit np.linalg.matrix_power's.
+
+    Every square a^(2^h) is taken once.  a^n folds the squares of the set
+    bits of n, lowest first, as matrix_power does past its shortcuts a^0,
+    a^1 and a^3 = (a a) a; so the powers with top bit h are the powers
+    below 2^h times a^(2^h), formed in one stacked product.
+    """
+    powers = np.empty((top + 1, *a.shape), dtype=a.dtype)
+    powers[0] = np.identity(a.shape[-1], dtype=a.dtype)  # as matrix_power(a, 0) sets it
+    powers[1:2] = a  # nothing to set when top is 0
+    bit = 2
+    while bit <= top:
+        np.matmul(powers[bit // 2], powers[bit // 2], out=powers[bit])
+        # matrix_power's running product over the lower bits of n is a^rest
+        rest = min(bit - 1, top - bit)
+        np.matmul(powers[1:rest + 1], powers[bit], out=powers[bit + 1:bit + rest + 1])
+        bit *= 2
     if top >= 3:
-        powers[3] = squares[1] @ a  # after the folds 7, 11, ... that read a @ a^2
-    return powers[:top + 1]
+        powers[3] = powers[2] @ a  # after the folds 7, 11, ... that read a @ a^2
+    return powers
 
 
 def numeric_traces(us, vs, max_i: int, max_j: int) -> np.ndarray:
@@ -261,7 +288,7 @@ def numeric_traces(us, vs, max_i: int, max_j: int) -> np.ndarray:
     entries of each product are formed, each summed as ``@`` sums it.
     """
     both = np.concatenate([us, vs])
-    powers = np.stack(matrix_powers(both, max(max_i, max_j)), axis=1)
+    powers = matrix_powers(both, max(max_i, max_j)).swapaxes(0, 1)
     u = powers[:len(us), :max_i + 1, None]
     v = powers[len(us):, None, :max_j + 1]
     m00 = u[..., 0, 0] * v[..., 0, 0] + u[..., 0, 1] * v[..., 1, 0]

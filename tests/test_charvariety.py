@@ -36,6 +36,17 @@ def test_trefoil_pairs():
     assert admissible_pairs(TorusKnotConfig(2, 3)) == [AdmissiblePair(1, 1)]
 
 
+def test_admissible_pairs_returns_a_fresh_list():
+    # the pairs are memoised per (p, q); what one caller does to its list
+    # reaches no other
+    cfg = TorusKnotConfig(2, 3)
+    first = admissible_pairs(cfg)
+    first.append(AdmissiblePair(2, 2))
+    first.reverse()
+    assert admissible_pairs(cfg) == [AdmissiblePair(1, 1)]
+    assert admissible_pairs(TorusKnotConfig(2, 3)) is not admissible_pairs(cfg)
+
+
 def test_pair_counts():
     assert len(admissible_pairs(TorusKnotConfig(3, 4))) == 3
     for cfg in coprime_configs(12):

@@ -300,6 +300,23 @@ def test_verify_report_digest(capsys, p, q, max_k, digest):
     assert hashlib.sha256(out[:-1].encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("p, q, seed, digest", [
+    ("5", "7", "1", "ce37078d4165ba5c0bffe567569589b603846ba844802d3bfb0edf6733e1739a"),
+    ("5", "7", "18446744073709551621",
+     "44546cf3cb622e87b761fc113a363c17d153b23e8156241f69a389adab13b9d8"),
+    # 55 admissible pairs, the most of any knot p < q <= 12
+    ("11", "12", "7", "1ccff885267f25e167d673fa06067334d29564f0eb4d941a63422f9816e1b9ee"),
+])
+def test_verify_report_digest_at_other_seeds(capsys, p, q, seed, digest):
+    # the trace check's float samples, and so worst_error, pinned byte for
+    # byte at seeds of one and three 32-bit words
+    code, out, _ = run_cli(capsys, "verify", p, q, "--max-k", "1", "--json",
+                           "--no-timings", "--seed", seed)
+    assert code == 0
+    assert out.endswith("\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("p, q, max_k", [("2", "9", "2"), ("7", "8", "3")])
 def test_verify_passes_past_the_crossing_count(capsys, p, q, max_k):
     # rotation words of 25 to 36 crossings stay far inside the bound on

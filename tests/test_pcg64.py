@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 
 import torusskein
-from torusskein._pcg64 import Generator
+from torusskein._pcg64 import Generator, _seed_words
 
 # the bounds of integers(n): small ones, as in the trace check (n = 1 draws
 # nothing), any up to 2^32, and near 2^31 and 2^32, where Lemire's method
@@ -49,6 +49,15 @@ def test_integers_of_one_draws_nothing(seed):
     assert ours.integers(5) == fresh.integers(5)
     assert ours.integers(1) == 0
     assert ours.uniform(-2, 2) == fresh.uniform(-2, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 20259, (1 << 64) + 5])
+def test_generators_of_one_seed_draw_one_stream(seed):
+    # the seed words are memoised per seed, as a tuple no generator can change
+    assert isinstance(_seed_words(seed), tuple)
+    first, second = Generator(seed), Generator(seed)
+    assert [(first.integers(n), first.uniform(-2, 2)) for n in (3, 55, 1 << 32)] == [
+        (second.integers(n), second.uniform(-2, 2)) for n in (3, 55, 1 << 32)]
 
 
 def test_out_of_range_raises():

@@ -186,6 +186,23 @@ def test_trace_values_equal_evaluate_exactly(cfg):
                     assert_same_number(rows[i][j], want)
 
 
+@pytest.mark.parametrize("max_ij", [0, 1, 2, 12])
+def test_trace_values_equal_evaluate_at_other_sizes(max_ij):
+    # the term layout is cut into parts at term positions; at 0-2 some
+    # cuts coincide, and 12 holds 4,021 terms
+    comps = [Component(EXACT_CONFIGS[3], pair) for pair in admissible_pairs(EXACT_CONFIGS[3])[:3]]
+    rng = np.random.default_rng(max_ij)
+    zs = [complex(*rng.uniform(-2, 2, 2)) for _ in comps]
+    table = trace_values(max_ij, [comp.x_const for comp in comps],
+                         [comp.y_const for comp in comps], zs)
+    assert table.shape == (len(comps), max_ij + 1, max_ij + 1)
+    for comp, z, rows in zip(comps, zs, table.tolist()):
+        for i in range(max_ij + 1):
+            for j in range(max_ij + 1):
+                want = trace_word(i, j).evaluate(comp.x_const, comp.y_const, z)
+                assert_same_number(rows[i][j], want)
+
+
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS, ids=str)
 def test_numeric_rep_traces_equal_trace_exactly(cfg):
     picks = [pair for pair in admissible_pairs(cfg) for _ in range(3)]
@@ -204,13 +221,14 @@ def test_numeric_rep_traces_equal_trace_exactly(cfg):
     assert numeric_traces(us[:2], vs[:2], 4, 1).shape == (2, 5, 2)
 
 
-@pytest.mark.parametrize("size", [1, 40])
+@pytest.mark.parametrize("size", [1, 20, 40])
 def test_matrix_powers_equal_matrix_power_bit_for_bit(size):
     # the shared squares fold as matrix_power folds them, so every power
-    # keeps its bytes
+    # keeps its bytes; 20 is the U (or V) half of the trace check's stack,
+    # 8 its top (MAX_IJ) and 7 the last power of the stacked 4-7 level
     rng = np.random.default_rng(size)
     a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
-    for top in (0, 1, 3, 16):
+    for top in (0, 1, 3, 7, 8, 16):
         powers = matrix_powers(a, top)
         assert len(powers) == top + 1
         for n, got in enumerate(powers):
