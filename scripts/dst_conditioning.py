@@ -3,7 +3,8 @@
 Prints, for every coprime pair up to the limit, the matrix size, the
 row-scaled |det| used by the invertibility check, and the 2-norm condition
 number, to show how far the check sits from its 1e-8 threshold.  Exits 1
-when any pair fails the check, 0 otherwise.
+when any pair fails the check, 2 on a non-integer LIMIT, 0 otherwise (also
+when no coprime pair is in range).
 
 Usage: python scripts/dst_conditioning.py [LIMIT]
 """
@@ -16,7 +17,11 @@ from torusskein.charvariety import TorusKnotConfig
 
 
 def main() -> int:
-    limit = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    try:
+        limit = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'(p, q)':>9} {'size':>5} {'scaled |det|':>14} {'cond':>12}")
     worst, failed = None, False
     for p in range(2, limit + 1):
@@ -30,6 +35,9 @@ def main() -> int:
             print(f"  ({p:>2},{q:>2}) {size:>5} {det:>14.6e} {cond:>12.3e}{flag}")
             if worst is None or det < worst[0]:
                 worst = (det, p, q)
+    if worst is None:
+        print(f"no coprime pair p < q <= {limit}")
+        return 0
     det, p, q = worst
     print(f"smallest scaled |det|: {det:.6e} at ({p},{q})")
     return 1 if failed else 0

@@ -7,6 +7,8 @@ exponents u_j in rotate(e_j) = A^(u_j) e_(slope-j), and whether f^(2k) = 1
 in the quotient ring, f = rotate(w^0) being the rotation's multiplier.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
+
+Exits 2 on a non-integer argument, 0 otherwise.
 """
 
 import sys
@@ -23,8 +25,12 @@ from torusskein.sprime import (
 
 
 def main() -> int:
-    max_slope = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    max_k = int(sys.argv[2]) if len(sys.argv) > 2 else 3
+    try:
+        max_slope = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+        max_k = int(sys.argv[2]) if len(sys.argv) > 2 else 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'slope':>5} {'k':>3} {'crossings':>9} {'states':>6} {'A-power':>8} "
           f"{'order ok':>8}  exponents u_j")
     for slope in range(2, max_slope + 1):

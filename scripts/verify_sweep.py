@@ -6,7 +6,7 @@ A configuration is failed if any check fails, and refused if no check fails
 but some exceed the exact state sum's bound on live states (the guard
 refuses a case rather than approximating it).  Both are counted apart; the
 exit code is 1 if any configuration failed, 3 if some were refused and none
-failed, and 0 otherwise.
+failed, 2 on a non-integer argument, and 0 otherwise.
 """
 
 import math
@@ -18,8 +18,12 @@ from torusskein.charvariety import TorusKnotConfig
 
 
 def main() -> int:
-    limit = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    max_k = int(sys.argv[2]) if len(sys.argv) > 2 else 2
+    try:
+        limit = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+        max_k = int(sys.argv[2]) if len(sys.argv) > 2 else 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failures = refusals = 0
     print(f"{'(p, q)':>8}  {'checks':>6}  {'status':>8}  {'seconds':>8}")
     for p in range(2, limit + 1):

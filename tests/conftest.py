@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from itertools import islice
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -9,9 +11,19 @@ from torusskein import skein, sprime
 from torusskein.algebra import DELTA, Laurent, TracePoly, UniPoly, chebyshev_terms
 from torusskein.skein import AnnularTangle, BudgetError, SkeinElement, turn_slices
 
+ROOT = Path(__file__).resolve().parents[1]
+
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("default")
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded afresh from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def clear_sprime_caches():
