@@ -30,6 +30,18 @@ U^i V^j.  Each value is bit for bit the per-entry
 The exact polynomials have int coefficients, so routes 1 and 2 run in
 integer arithmetic.
 
+A ``verify`` process runs three native numpy kernels, each because its
+rounding reaches the report: zgemm, the complex matrix product behind
+:func:`matrix_powers`, fixes the bits of trace-triple-agreement's
+``worst_error``; in ``assembly``, the real LU (dgetrf) behind
+``scaled_abs_det`` fixes dst-invertible's ``scaled_det``, and the SVD
+(dgesdd) behind ``np.linalg.cond`` its ``cond``.  Everything else stays
+elementwise or in Python: :func:`validate_stack` only compares against
+tolerances, so it forms its determinants and traces from the 2x2 entries,
+with no complex LU, and :func:`_term_layout` inverts its ranking of the
+words with a Python sort.  A kernel left out is resident code that a
+process never pages in.
+
 The lru_cache memos behind trace_word, series_table and _term_layout
 (the words' terms laid out for the batch) are the only shared state in
 this module; the results do not depend on evaluation order.
@@ -105,7 +117,9 @@ def _term_layout(max_ij: int) -> tuple:
     counts, and each part is (c, a, b, e, counts) of its run: c holds each
     term as float(c) (what ``c * float`` computes inside
     TracePoly.evaluate), as a column, and a, b, e its exponents of x, y, z.
-    order[w] is the rank of word i*(max_ij+1) + j.
+    order[w] is the rank of word i*(max_ij+1) + j: the inverse of the
+    ranking, taken by a Python sort of the word indices, since numpy's sort
+    kernel would cost a process more to page in than it saves on 81 words.
     """
     n = max_ij + 1
     words = [list(trace_word(i, j).terms.items()) for i in range(n) for j in range(n)]
@@ -123,7 +137,7 @@ def _term_layout(max_ij: int) -> tuple:
                                       for k in range(1, _TERM_PARTS))})
     parts = tuple((coeffs[ends[i]:ends[j]], *expos[:, ends[i]:ends[j]], tuple(counts[i:j]))
                   for i, j in zip(cuts, cuts[1:]))
-    return parts, np.argsort(ranked)
+    return parts, np.array(sorted(range(len(ranked)), key=ranked.__getitem__))
 
 
 def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
@@ -200,17 +214,26 @@ def series_table(max_i: int, max_j: int) -> tuple:
 
 def validate_stack(us, vs, xs, ys, zs) -> None:
     """Raise ValueError unless every sample of the stack is a representation
-    with tr U = x, tr V = y and tr UV = z."""
+    with tr U = x, tr V = y and tr UV = z.
+
+    Only comparisons against tolerances leave this function, never a value,
+    so each quantity is formed elementwise from the stacked 2x2 entries:
+    det as u00 u11 - u01 u10, a trace as the diagonal sum, and tr UV as the
+    sum of four products.  No LAPACK or BLAS kernel runs here.
+    """
     zs = np.asarray(zs, dtype=complex)
     # every test below is ``> tol``, which NaN would pass
     if not (np.isfinite(zs).all() and np.isfinite(us).all() and np.isfinite(vs).all()):
         raise ValueError("z or an entry of U or V is not finite")
+    u00, u01, u10, u11 = np.reshape(us, (-1, 4)).T
+    v00, v01, v10, v11 = np.reshape(vs, (-1, 4)).T
     tests = (
-        (np.linalg.det(us), 1, 1e-12, "det U drifted from 1"),
-        (np.linalg.det(vs), 1, 1e-12, "det V drifted from 1"),
-        (np.trace(us, axis1=1, axis2=2), xs, 1e-9, "tr U is off the component"),
-        (np.trace(vs, axis1=1, axis2=2), ys, 1e-9, "tr V is off the component"),
-        (np.trace(us @ vs, axis1=1, axis2=2), zs, 1e-9, "tr UV missed the requested z"),
+        (u00 * u11 - u01 * u10, 1, 1e-12, "det U drifted from 1"),
+        (v00 * v11 - v01 * v10, 1, 1e-12, "det V drifted from 1"),
+        (u00 + u11, xs, 1e-9, "tr U is off the component"),
+        (v00 + v11, ys, 1e-9, "tr V is off the component"),
+        (u00 * v00 + u01 * v10 + u10 * v01 + u11 * v11, zs, 1e-9,
+         "tr UV missed the requested z"),
     )
     for got, want, tol, message in tests:
         if (np.abs(got - want) > tol).any():

@@ -289,6 +289,49 @@ def test_numeric_stack_rejects_a_non_finite_z_among_finite_ones():
         sample_stack(pairs, *component_traces(pairs, cfg), zs, cfg)
 
 
+def _good_stack(cfg=TorusKnotConfig(3, 5)):
+    """A validated stack (us, vs, xs, ys, zs), one sample per admissible pair."""
+    pairs = admissible_pairs(cfg)
+    xs, ys = component_traces(pairs, cfg)
+    zs = [random_z() for _ in pairs]
+    us, vs = sample_stack(pairs, xs, ys, zs, cfg)
+    return us, vs, xs, ys, zs
+
+
+@pytest.mark.parametrize("off, refused", [(2e-12, True), (5e-13, False)])
+@pytest.mark.parametrize("which", ["U", "V"])
+def test_validation_det_tolerance_edge(which, off, refused):
+    # scaling by sqrt(1 + off) moves the det by off, past the 1e-12
+    # tolerance or within it, and each trace by about 1e-12, far within 1e-9
+    us, vs, xs, ys, zs = _good_stack()
+    at = len(zs) // 2
+    mats = {"U": us, "V": vs}
+    mats[which][at] *= math.sqrt(1 + off)
+    assert abs(abs(np.linalg.det(mats[which][at]) - 1) - off) < 1e-15
+    if refused:
+        with pytest.raises(ValueError, match=f"det {which} drifted from 1"):
+            validate_stack(us, vs, xs, ys, zs)
+    else:
+        validate_stack(us, vs, xs, ys, zs)
+
+
+@pytest.mark.parametrize("off, refused", [(2e-9, True), (5e-10, False)])
+@pytest.mark.parametrize("which", ["x", "y", "z"])
+def test_validation_trace_tolerance_edge(which, off, refused):
+    # the requested trace of one sample moves by off, past the 1e-9
+    # tolerance or within it
+    us, vs, xs, ys, zs = _good_stack()
+    at = len(zs) // 2
+    {"x": xs, "y": ys, "z": zs}[which][at] += off
+    message = {"x": "tr U is off the component", "y": "tr V is off the component",
+               "z": "tr UV missed the requested z"}[which]
+    if refused:
+        with pytest.raises(ValueError, match=message):
+            validate_stack(us, vs, xs, ys, zs)
+    else:
+        validate_stack(us, vs, xs, ys, zs)
+
+
 def test_leading_z_coeff_literals():
     cfg = TorusKnotConfig(3, 5)
     for pair in admissible_pairs(cfg):
