@@ -3,8 +3,8 @@
 Prints, for every coprime pair up to the limit, the matrix size, the
 row-scaled |det| used by the invertibility check, and the 2-norm condition
 number, to show how far the check sits from its 1e-8 threshold.  Exits 1
-when any pair fails the check, 2 on a non-integer LIMIT, 0 otherwise (also
-when no coprime pair is in range).
+when any pair fails the check, 2 on a non-integer LIMIT or a closed stdout,
+0 otherwise (also when no coprime pair is in range).
 
 Usage: python scripts/dst_conditioning.py [LIMIT]
 """
@@ -14,6 +14,7 @@ import sys
 
 from torusskein.assembly import verify_dst
 from torusskein.charvariety import TorusKnotConfig
+from torusskein.cli import run
 
 
 def main() -> int:
@@ -44,4 +45,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

@@ -8,12 +8,13 @@ in the quotient ring, f = rotate(w^0) being the rotation's multiplier.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 
-Exits 2 on a non-integer argument, 0 otherwise.
+Exits 2 on a non-integer argument or a closed stdout, 0 otherwise.
 """
 
 import sys
 
 from torusskein.algebra import UniPoly
+from torusskein.cli import run
 from torusskein.sprime import (
     collar_states,
     power_tangle,
@@ -46,4 +47,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

@@ -6,7 +6,7 @@ A configuration is failed if any check fails, and refused if no check fails
 but some exceed the exact state sum's bound on live states (the guard
 refuses a case rather than approximating it).  Both are counted apart; the
 exit code is 1 if any configuration failed, 3 if some were refused and none
-failed, 2 on a non-integer argument, and 0 otherwise.
+failed, 2 on a non-integer argument or a closed stdout, and 0 otherwise.
 """
 
 import math
@@ -15,6 +15,7 @@ import time
 
 from torusskein.assembly import verify_theorem
 from torusskein.charvariety import TorusKnotConfig
+from torusskein.cli import run
 
 
 def main() -> int:
@@ -46,4 +47,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

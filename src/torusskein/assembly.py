@@ -40,13 +40,7 @@ from .charvariety import (
     Component,
 )
 from .skein import BudgetError
-from .sprime import (
-    basis_coordinates,
-    normalized_basis_coordinates,
-    normalized_rotated_basis,
-    rotation_exponents,
-    rotation_power,
-)
+from .sprime import basis_coordinates, rotation_exponents, rotation_power
 from .traces import numeric_traces, sample_stack, series_table, trace_values, trace_word
 
 DEFAULT_SEED = 20259
@@ -346,10 +340,14 @@ def _check_rotation_exponents(slope, max_k):
 
 
 def _check_normalized_rotation(slope, max_k):
+    # rotate(e_j) = A^(u_j) e_(slope-j) exactly, so the basis rescaled to
+    # A^(n_j) e_j, n_j = -u_j when 2j > slope and 0 otherwise, is swapped
+    # exactly when n_j + u_j = n_(slope-j)
     for k in range(1, max_k + 1):
-        norm = normalized_basis_coordinates(slope, k)
-        for j, image in enumerate(normalized_rotated_basis(slope, k), start=1):
-            if image != norm[slope - j - 1]:
+        expo = rotation_exponents(slope, k)
+        shift = [-u if 2 * j > slope else 0 for j, u in enumerate(expo, start=1)]
+        for j in range(1, slope):
+            if shift[j - 1] + expo[j - 1] != shift[slope - j - 1]:
                 return False, {"slope": slope, "k": k, "j": j}
     return True, {"slope": slope, "k_range": max_k}
 

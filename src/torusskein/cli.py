@@ -2,15 +2,18 @@
 
 Subcommands expose each computation plus the verification pipeline; output
 is byte-identical across runs for fixed arguments and seed.  Exit codes:
-0 success, 1 failed verification, 2 usage error or refused input, 3 some
-verification checks refused by the state budget and none failed.
+0 success, 1 failed verification, 2 usage error, refused input or a closed
+stdout, 3 some verification checks refused by the state budget and none
+failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable
 
 from .algebra import chebyshev
 from .assembly import (
@@ -225,5 +228,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(entry: Callable[[], int] = main) -> int:
+    """The exit code of entry(), the main of `torusskein` or of a script,
+    with stdout flushed.  When stdout is closed this is 2, with one error
+    line, whether the output was buffered or not; stdout is then pointed at
+    the null device, so the interpreter's own last flush cannot fail too."""
+    try:
+        code = entry()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

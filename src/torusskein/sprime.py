@@ -22,7 +22,11 @@ continues the collar at slope p-1, its prefix, and the basis tangle e(k, j)
 is the collar at slope j without its curl, on the null tangle: the basis
 e(k, j) is read from the relations at slopes 1..p-1 (the tests build the
 tangles as an oracle), and one collar sum per slope and width feeds every
-table.
+table.  Per (slope, k) the cached tables are the relation, f, the basis,
+f^(2k) and the exponents u_j; the rotated basis f e_j is formed only to
+prove rot e_j = A^(u_j) e_(p-j) exactly, so the normalized basis
+A^(n_j) e_j (n_j = -u_j when 2j > p, else 0), which the rotation swaps,
+is read off the exponents and needs no table of its own.
 
 ``skein`` builds every word; this module only composes them: the turns of
 the collar, the framing curve and each core loop come from
@@ -237,17 +241,6 @@ def times_A(el: UniPoly, exp: int) -> UniPoly:
     return UniPoly(el.var, [c.shift(exp) for c in el.coeffs])
 
 
-def unit_ratio(a: UniPoly, b: UniPoly) -> Laurent:
-    """The unit u with a = u * b: lead(a) / lead(b), then checked; b's leading
-    coefficient must be a unit (as on the triangular basis elements)."""
-    u = a.leading() * b.leading().unit_inverse()
-    if u.unit_parts() is None:
-        raise ValueError(f"ratio {u} is not a unit")
-    if a != b * u:
-        raise ValueError("elements are not proportional by one unit")
-    return u
-
-
 # ---------------------------------------------------------------------------
 # the rotation: multiplication by f = rotate(w^0)
 # ---------------------------------------------------------------------------
@@ -279,61 +272,41 @@ def rotation_power(slope: int, k: int) -> UniPoly:
 
 
 @lru_cache(maxsize=None)
-def rotated_basis(slope: int, k: int) -> tuple:
-    """rotate(e_j) = f e_j modulo the relation, j = 1..slope-1: the sum of
-    e_j[m] g_m over the columns g_m = w^m f modulo the relation, each column
-    the one before times w, with one top-term reduction."""
+def rotation_exponents(slope: int, k: int) -> tuple:
+    """Exponents u_j with rotate(e_j) = A^(u_j) e_(slope-j), j = 1..slope-1.
+
+    rotate(e_j) = f e_j modulo the relation is the sum of e_j[m] g_m over the
+    columns g_m = w^m f modulo the relation, each column the one before times
+    w, with one top-term reduction.  Its unit ratio to e_(slope-j) is read off
+    the leading coefficients (e_(slope-j)'s is a unit), then the image is
+    tested against e_(slope-j) times it, exactly.  Raises if the ratio is no
+    unit, if the image differs, or if the unit carries a minus sign, which
+    would contradict the braid-normalization argument behind the basis.
+    """
+    coords = basis_coordinates(slope, k)
     rel = reduction_relation(slope, k)
     columns = [rotation_matrix(slope, k)]
     for _ in range(slope - 2):
         columns.append(UniPoly("w", (Laurent.zero(),) + columns[-1].coeffs) % rel)
     out = []
-    for e in basis_coordinates(slope, k):
+    for j, e in enumerate(coords, start=1):
         image = [Laurent.zero()] * (slope - 1)
         for c, g in zip(e.coeffs, columns):
             if c:
                 for m, d in enumerate(g.coeffs):
                     if d:
                         image[m] = image[m] + c * d
-        out.append(UniPoly("w", image))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def rotation_exponents(slope: int, k: int) -> tuple:
-    """Exponents u_j with rotate(e_j) = A^(u_j) e_(slope-j), j = 1..slope-1.
-
-    Raises if the proportionality unit carries a minus sign, which would
-    contradict the braid-normalization argument behind the basis.
-    """
-    coords = basis_coordinates(slope, k)
-    out = []
-    for j, image in enumerate(rotated_basis(slope, k), start=1):
-        unit = unit_ratio(image, coords[slope - j - 1])
-        sign, e = unit.unit_parts()
+        image, partner = UniPoly("w", image), coords[slope - j - 1]
+        unit = image.leading() * partner.leading().unit_inverse()
+        parts = unit.unit_parts()
+        if parts is None:
+            raise ValueError(f"ratio {unit} is not a unit")
+        if image != partner * unit:
+            raise ValueError("elements are not proportional by one unit")
+        sign, u = parts
         if sign != 1:
             raise QuotientError(
                 f"rotation sends e_{j} to {unit} * e_{slope - j}; "
                 "expected a pure power of A")
-        out.append(e)
+        out.append(u)
     return tuple(out)
-
-
-def normalization_shifts(slope: int, k: int) -> list[int]:
-    """n_j with normalized e_j = A^(n_j) e_j: -u_j when 2j > slope, else 0."""
-    expo = rotation_exponents(slope, k)
-    return [-expo[j - 1] if 2 * j > slope else 0 for j in range(1, slope)]
-
-
-@lru_cache(maxsize=None)
-def normalized_basis_coordinates(slope: int, k: int) -> tuple:
-    """Basis elements rescaled so rotate(e_j) = e_(slope-j) exactly."""
-    return tuple(times_A(e, n)
-                 for e, n in zip(basis_coordinates(slope, k), normalization_shifts(slope, k)))
-
-
-@lru_cache(maxsize=None)
-def normalized_rotated_basis(slope: int, k: int) -> tuple:
-    """Images rotate(A^(n_j) e_j) = A^(n_j) rotate(e_j) of the normalized basis."""
-    return tuple(times_A(image, n)
-                 for image, n in zip(rotated_basis(slope, k), normalization_shifts(slope, k)))

@@ -34,6 +34,15 @@ def clear_sprime_caches():
             fn.cache_clear()
 
 
+def normalized_basis(slope, k):
+    """A^(n_j) e_j, j = 1..slope-1, with n_j = -u_j when 2j > slope, else 0:
+    the basis that the rotation swaps exactly, built from the cached
+    basis and exponents."""
+    expo = sprime.rotation_exponents(slope, k)
+    return [sprime.times_A(e, -expo[j - 1] if 2 * j > slope else 0)
+            for j, e in enumerate(sprime.basis_coordinates(slope, k), start=1)]
+
+
 @pytest.fixture
 def state_budget(monkeypatch):
     """Lower ``skein.STATE_BUDGET`` for one test.

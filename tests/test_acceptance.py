@@ -9,7 +9,13 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import leading_z_coeff, scale, z_coefficient, z_part_closed_form
+from conftest import (
+    leading_z_coeff,
+    normalized_basis,
+    scale,
+    z_coefficient,
+    z_part_closed_form,
+)
 
 from torusskein.algebra import Laurent, UniPoly
 from torusskein.charvariety import Component, TorusKnotConfig, admissible_pairs
@@ -32,7 +38,6 @@ from torusskein.skein import (
 )
 from torusskein.sprime import (
     basis_coordinates,
-    normalized_basis_coordinates,
     null_tangle,
     reduction_relation,
     rotate,
@@ -180,8 +185,9 @@ def test_criterion_6_basis_and_rotation_exponents():
                 assert all(not vec[m] for m in range(j, p - 1)), (p, k, j)
             expo = rotation_exponents(p, k)  # raises unless each unit is +A^u
             assert all(expo[j - 1] == -expo[p - j - 1] for j in range(1, p)), (p, k)
+            # rescaled to A^(n_j) e_j, the basis is swapped exactly
             f, rel = rotation_matrix(p, k), reduction_relation(p, k)
-            norm = normalized_basis_coordinates(p, k)
+            norm = normalized_basis(p, k)
             for j in range(1, p):
                 assert f * norm[j - 1] % rel == norm[p - j - 1], (p, k, j)
 

@@ -12,7 +12,7 @@ from conftest import flipped_series_table, substitute, word_trace, z_coefficient
 
 from torusskein.algebra import TracePoly, chebyshev, chebyshev_terms
 from torusskein.charvariety import Component, TorusKnotConfig, admissible_pairs
-from torusskein import assembly, traces
+from torusskein import assembly, skein, traces
 from torusskein.assembly import (
     Deg0,
     DegK,
@@ -412,6 +412,28 @@ def test_float_witnesses_are_pinned():
                 check["ms"] = 0
             digest.update(report.json_str().encode())
     assert digest.hexdigest() == FLOAT_WITNESS_DIGEST
+
+
+# sha256 of the reports below, 1,091 refused checks among them: a refusal
+# witness names the state count at the slice where the guard trips, so it
+# pins the order in which each check first reads the relations and f
+REFUSAL_WITNESS_DIGEST = "301f900971b0f8d2a2ec9c462409db297385ac55d421835ae9666158ebed7c20"
+
+
+def test_refusal_witnesses_are_pinned(state_budget):
+    default = skein.STATE_BUDGET
+    digest, refusals = hashlib.sha256(), 0
+    for budget in (8, 12, 20, 35, 60, 100, 170, 400, default):
+        state_budget(budget)
+        for cfg in coprime_configs(9):
+            for k in (1, 2, 3):
+                report = verify_theorem(cfg, max_k=k)
+                for check in report.checks:
+                    check["ms"] = 0.0  # as `verify --no-timings` prints it
+                    refusals += assembly.refused(check)
+                digest.update(report.json_str().encode())
+    assert refusals == 1091
+    assert digest.hexdigest() == REFUSAL_WITNESS_DIGEST
 
 
 def test_verify_needs_no_complex_lu_and_no_numpy_sort(monkeypatch):

@@ -424,3 +424,30 @@ def test_peak_rss_stays_near_a_refused_call(argv, floor_argv, codes):
     (code, peak), (floor_code, floor) = peak_rss_mb(argv), peak_rss_mb(floor_argv)
     assert (code, floor_code) == codes
     assert peak - floor <= 8, (peak, floor)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["torusskein", "trace-poly", "8", "8"],
+    ["torusskein", "trace-poly", "63", "63"],  # 63 KB: buffered too, print meets the break
+    ["torusskein", "verify", "3", "5", "--max-k", "2"],
+    ["scripts/verify_sweep.py", "8", "1"],
+    ["scripts/rotation_table.py", "4", "1"],
+    ["scripts/dst_conditioning.py", "6"],
+], ids=["trace-poly", "trace-poly-63-63", "verify", "verify-sweep", "rotation-table", "dst-conditioning"])
+def test_closed_stdout_exits_2_with_one_error_line(argv, buffering):
+    # every entry point, given a pipe whose reader is gone: buffered, a short
+    # output fails at run's last flush; unbuffered, at the first print
+    args, env = load_script("repin").command(argv)
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(args, cwd=ROOT, env=env, stdout=write,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == b"error: [Errno 32] Broken pipe\n"

@@ -5,7 +5,7 @@ import json
 from itertools import islice
 
 import pytest
-from conftest import basis_tangle, clear_sprime_caches, scale
+from conftest import basis_tangle, clear_sprime_caches, normalized_basis, scale
 
 from torusskein import skein, sprime
 from torusskein.algebra import DELTA, Laurent, UniPoly, chebyshev_terms
@@ -27,7 +27,6 @@ from torusskein.sprime import (
     closed_basis_element,
     expand_framing_curve,
     framing_curve_tangle,
-    normalized_basis_coordinates,
     null_tangle,
     power_tangle,
     quotient_coordinates,
@@ -255,6 +254,24 @@ def test_wrong_rotation_fails_the_checks_on_cached_tables(monkeypatch, fresh_rot
         assert failed[f"normalized-rotation-slope{slope}"]["j"] == 1
 
 
+def test_rotation_off_by_a_constant_has_no_exponents(monkeypatch, fresh_rotation_tables):
+    # f + A^5 sends no e_j to a unit times e_(slope-j): the leading
+    # coefficients give a unit, the full images disagree, and both checks
+    # that read the exponents report the error
+    rotation = sprime.rotation_matrix
+
+    def shifted(slope, k):
+        return rotation(slope, k) + UniPoly.constant("w", A(5))
+
+    monkeypatch.setattr(sprime, "rotation_matrix", shifted)
+    report = verify_theorem(TorusKnotConfig(3, 5), max_k=1)
+    witness = {c["name"]: c["witness"] for c in report.checks}
+    error = {"error": "ValueError: elements are not proportional by one unit"}
+    for slope in (3, 5):
+        assert witness[f"rotation-exponents-slope{slope}"] == error
+        assert witness[f"normalized-rotation-slope{slope}"] == error
+
+
 def test_rotation_is_linear_on_elements():
     # rotating a resolved element termwise agrees with rotating the tangle
     slope, k = 3, 2
@@ -436,9 +453,10 @@ def test_rotation_exponents_closed_form():
 
 
 def test_normalized_basis_swaps_exactly():
+    # the rotation swaps the rescaled basis as polynomials modulo the relation
     for slope, k in GRID:
         f, rel = rotation_matrix(slope, k), reduction_relation(slope, k)
-        norm = normalized_basis_coordinates(slope, k)
+        norm = normalized_basis(slope, k)
         for j in range(1, slope):
             assert f * norm[j - 1] % rel == norm[slope - j - 1], (slope, k, j)
 
@@ -462,8 +480,7 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     # every caller reaches a cached builder with the same key, so no
     # (slope, k) table is computed twice
     per_slope = (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
-                 sprime.rotation_power, sprime.rotated_basis,
-                 sprime.normalized_basis_coordinates, sprime.normalized_rotated_basis)
+                 sprime.rotation_power)
     caches = per_slope + (sprime.reduction_relation, sprime.collar_states)
     clear_sprime_caches()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
@@ -476,17 +493,22 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     assert sprime.collar_states.cache_info().currsize == 6
     for fn in caches:
         assert fn.cache_info().misses == fn.cache_info().currsize, fn.__name__
+    # these are all of the module's caches
+    cached = {fn for fn in vars(sprime).values()
+              if hasattr(fn, "cache_info") and fn.__module__ == sprime.__name__}
+    assert cached == set(caches)
 
 
 def test_verify_of_a_pair_with_seen_slopes_adds_no_miss():
     # (3, 5) shares slope 3 with (2, 3) and slope 5 with (2, 5): every
     # (slope, k) table it reads is already cached
-    tables = (sprime.normalized_basis_coordinates, sprime.normalized_rotated_basis,
-              sprime.rotated_basis, sprime.rotation_exponents)
+    tables = (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
+              sprime.rotation_power, sprime.reduction_relation, sprime.collar_states)
     clear_sprime_caches()
     for p, q in ((2, 3), (2, 5)):
         verify_theorem(TorusKnotConfig(p, q), max_k=1)
     misses = [fn.cache_info().misses for fn in tables]
-    assert misses == [3] * len(tables)  # slopes {2, 3, 5} at k = 1
+    # slopes {2, 3, 5} at k = 1; the relations and collars at slopes 1..5
+    assert misses == [3, 3, 3, 3, 5, 5]
     assert verify_theorem(TorusKnotConfig(3, 5), max_k=1).all_passed
     assert [fn.cache_info().misses for fn in tables] == misses
