@@ -12,9 +12,9 @@ Usage: python scripts/dst_conditioning.py [LIMIT]
 import math
 import sys
 
+from torusskein import run
 from torusskein.assembly import verify_dst
 from torusskein.charvariety import TorusKnotConfig
-from torusskein.cli import run
 
 
 def main() -> int:

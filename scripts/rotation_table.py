@@ -3,8 +3,10 @@
 For each slope and strand count this prints the collar crossing count, the
 number of collar states the quotient keeps (those without a winding-0 arc,
 ``len(collar_states(slope, 2k))``), the framing normalization exponent, the
-exponents u_j in rotate(e_j) = A^(u_j) e_(slope-j), and whether f^(2k) = 1
-in the quotient ring, f = rotate(w^0) being the rotation's multiplier.
+exponents u_j in rotate(e_j) = A^(u_j) e_(slope-j), and whether f^2 = 1
+in the quotient ring, f = rotate(w^0) being the rotation's multiplier; f^2
+= 1 (Cassini's identity for the Chebyshev S_(slope-2)) makes the rotation's
+order divide 2k.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 
@@ -13,15 +15,15 @@ Exits 2 on a non-integer argument or a closed stdout, 0 otherwise.
 
 import sys
 
+from torusskein import run
 from torusskein.algebra import UniPoly
-from torusskein.cli import run
 from torusskein.sprime import (
     collar_states,
     power_tangle,
     rotate,
     rotation_exponents,
     rotation_norm_exponent,
-    rotation_power,
+    rotation_square,
 )
 
 
@@ -37,7 +39,7 @@ def main() -> int:
     for slope in range(2, max_slope + 1):
         for k in range(1, max_k + 1):
             collar = rotate(power_tangle(k, 0), slope)
-            ok = rotation_power(slope, k) == UniPoly.constant("w", 1)
+            ok = rotation_square(slope, k) == UniPoly.constant("w", 1)
             expo = rotation_exponents(slope, k)
             norm = rotation_norm_exponent(slope, 2 * k)
             states = len(collar_states(slope, 2 * k))

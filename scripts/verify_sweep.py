@@ -13,9 +13,9 @@ import math
 import sys
 import time
 
+from torusskein import run
 from torusskein.assembly import verify_theorem
 from torusskein.charvariety import TorusKnotConfig
-from torusskein.cli import run
 
 
 def main() -> int:

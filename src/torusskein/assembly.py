@@ -40,7 +40,7 @@ from .charvariety import (
     Component,
 )
 from .skein import BudgetError
-from .sprime import basis_coordinates, rotation_exponents, rotation_power
+from .sprime import basis_coordinates, rotation_exponents, rotation_square
 from .traces import numeric_traces, sample_stack, series_table, trace_values, trace_word
 
 DEFAULT_SEED = 20259
@@ -311,7 +311,7 @@ def _check_triple_agreement(cfg, seed, samples=20, tol=1e-9):
 
 def _check_rotation_order(slope, max_k):
     for k in range(1, max_k + 1):
-        if rotation_power(slope, k) != UniPoly.constant("w", 1):
+        if rotation_square(slope, k) != UniPoly.constant("w", 1):
             return False, {"slope": slope, "k": k}
     return True, {"slope": slope, "k_range": max_k}
 

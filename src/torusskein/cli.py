@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from collections.abc import Callable
 
+from . import run
 from .algebra import chebyshev
 from .assembly import (
     DEFAULT_SEED,
@@ -228,22 +227,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def run(entry: Callable[[], int] = main) -> int:
-    """The exit code of entry(), the main of `torusskein` or of a script,
-    with stdout flushed.  When stdout is closed this is 2, with one error
-    line, whether the output was buffered or not; stdout is then pointed at
-    the null device, so the interpreter's own last flush cannot fail too."""
-    try:
-        code = entry()
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
-
-
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(run(main))

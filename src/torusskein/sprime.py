@@ -15,7 +15,10 @@ last one passing the seam.  Its collar word is one positive framing curl and
 p backward turns of one traveller strand, crossing each other strand once per
 full turn (sign +1), times a global power of A.  Core loops lie inside the
 collar, so the rotation commutes with w: it is multiplication by
-f = rotate(w^0), and rot^(2k) = 1 reads f^(2k) = 1 in the ring.  The
+f = rotate(w^0), and rot^(2k) = 1 reads f^(2k) = 1 in the ring.  In fact
+f^2 = 1 there, by Cassini's identity: f is the Chebyshev S_(p-2)(w) and the
+relation a unit times S_(p-1)(w), and S_(p-2)^2 - S_(p-3) S_(p-1) = 1; so
+f^(2k) = 1 is checked as f^2 = 1, one product.  The
 rotation invariants (that one, rot e_j = A^(u_j) e_(p-j) with
 u_(p-j) = -u_j) pin the constants, see the tests.  The collar at slope p
 continues the collar at slope p-1, its prefix, and the basis tangle e(k, j)
@@ -23,7 +26,7 @@ is the collar at slope j without its curl, on the null tangle: the basis
 e(k, j) is read from the relations at slopes 1..p-1 (the tests build the
 tangles as an oracle), and one collar sum per slope and width feeds every
 table.  Per (slope, k) the cached tables are the relation, f, the basis,
-f^(2k) and the exponents u_j; the rotated basis f e_j is formed only to
+f^2 and the exponents u_j; the rotated basis f e_j is formed only to
 prove rot e_j = A^(u_j) e_(p-j) exactly, so the normalized basis
 A^(n_j) e_j (n_j = -u_j when 2j > p, else 0), which the rotation swaps,
 is read off the exponents and needs no table of its own.
@@ -265,10 +268,13 @@ def basis_coordinates(slope: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def rotation_power(slope: int, k: int) -> UniPoly:
-    """f^(2k) modulo the relation; the rotation has order dividing 2k on the
-    quotient exactly when this is 1."""
-    return pow(rotation_matrix(slope, k), 2 * k, reduction_relation(slope, k))
+def rotation_square(slope: int, k: int) -> UniPoly:
+    """f^2 modulo the relation.  When this is 1 the rotation is an
+    involution on the quotient, so its order divides 2k; Cassini's identity
+    says it is 1 at every slope.  f is read before the relation, so a
+    refusal's witness names the collar that f's state sum reads first."""
+    f = rotation_matrix(slope, k)
+    return f * f % reduction_relation(slope, k)
 
 
 @lru_cache(maxsize=None)

@@ -37,10 +37,11 @@ rounding reaches the report: zgemm, the complex matrix product behind
 ``scaled_abs_det`` fixes dst-invertible's ``scaled_det``, and the SVD
 (dgesdd) behind ``np.linalg.cond`` its ``cond``.  Everything else stays
 elementwise or in Python: :func:`validate_stack` only compares against
-tolerances, so it forms its determinants and traces from the 2x2 entries,
-with no complex LU, and :func:`_term_layout` inverts its ranking of the
-words with a Python sort.  A kernel left out is resident code that a
-process never pages in.
+tolerances, so it runs on Python complex scalars, forming its
+determinants and traces from the 2x2 entries with no complex LU and no
+numpy ``isfinite`` or ``abs`` loop, and :func:`_term_layout` inverts its
+ranking of the words with a Python sort.  A kernel left out is resident
+code that a process never pages in.
 
 The lru_cache memos behind trace_word, series_table and _term_layout
 (the words' terms laid out for the batch) are the only shared state in
@@ -53,7 +54,7 @@ import cmath
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
@@ -212,38 +213,47 @@ def series_table(max_i: int, max_j: int) -> tuple:
     return tuple(tuple(entry(i, j) for j in range(max_j + 1)) for i in range(max_i + 1))
 
 
+def _scalars(values) -> list:
+    """values as a flat sequence of Python scalars: an array is read with
+    ``tolist``, which runs no ufunc loop; any other sequence is kept."""
+    return values.ravel().tolist() if isinstance(values, np.ndarray) else values
+
+
 def validate_stack(us, vs, xs, ys, zs) -> None:
     """Raise ValueError unless every sample of the stack is a representation
     with tr U = x, tr V = y and tr UV = z.
 
-    Only comparisons against tolerances leave this function, never a value,
-    so each quantity is formed elementwise from the stacked 2x2 entries:
-    det as u00 u11 - u01 u10, a trace as the diagonal sum, and tr UV as the
-    sum of four products.  No LAPACK or BLAS kernel runs here.
+    us and vs hold each sample's 2x2 entries u00, u01, u10, u11 in order,
+    flat or stacked to shape (S, 2, 2).  Only comparisons against tolerances
+    leave this function, never a value, so it runs on Python complex
+    scalars: det as u00 u11 - u01 u10, a trace as the diagonal sum, and
+    tr UV as the sum of four products, each compared with ``abs``.  No
+    numpy kernel runs here.
     """
-    zs = np.asarray(zs, dtype=complex)
+    us, vs, xs, ys, zs = map(_scalars, (us, vs, xs, ys, zs))
     # every test below is ``> tol``, which NaN would pass
-    if not (np.isfinite(zs).all() and np.isfinite(us).all() and np.isfinite(vs).all()):
+    if not all(map(cmath.isfinite, chain(zs, us, vs))):
         raise ValueError("z or an entry of U or V is not finite")
-    u00, u01, u10, u11 = np.reshape(us, (-1, 4)).T
-    v00, v01, v10, v11 = np.reshape(vs, (-1, 4)).T
+    u = [us[n:n + 4] for n in range(0, len(us), 4)]
+    v = [vs[n:n + 4] for n in range(0, len(vs), 4)]
     tests = (
-        (u00 * u11 - u01 * u10, 1, 1e-12, "det U drifted from 1"),
-        (v00 * v11 - v01 * v10, 1, 1e-12, "det V drifted from 1"),
-        (u00 + u11, xs, 1e-9, "tr U is off the component"),
-        (v00 + v11, ys, 1e-9, "tr V is off the component"),
-        (u00 * v00 + u01 * v10 + u10 * v01 + u11 * v11, zs, 1e-9,
+        ((a * d - b * c for a, b, c, d in u), repeat(1), 1e-12, "det U drifted from 1"),
+        ((a * d - b * c for a, b, c, d in v), repeat(1), 1e-12, "det V drifted from 1"),
+        ((a + d for a, _, _, d in u), xs, 1e-9, "tr U is off the component"),
+        ((a + d for a, _, _, d in v), ys, 1e-9, "tr V is off the component"),
+        ((a * e + b * g + c * f + d * h for (a, b, c, d), (e, f, g, h) in zip(u, v)), zs, 1e-9,
          "tr UV missed the requested z"),
     )
     for got, want, tol, message in tests:
-        if (np.abs(got - want) > tol).any():
+        if any(abs(g - w) > tol for g, w in zip(got, want)):
             raise ValueError(message)
 
 
 def sample_stack(pairs, xs, ys, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Matrices U, V with tr U = x, tr V = y, tr UV = z for each sample
     (pair, x, y, z), x and y the constant traces of the pair's component,
-    stacked to shape (S, 2, 2) and validated in one pass.
+    validated on their flat entry lists in one pass and then stacked to
+    shape (S, 2, 2).
 
     U is diagonal with eigenvalues exp(+-i k pi / q).  V = [[a, 1], [ad-1, d]]
     has the prescribed trace and determinant 1; a is solved from the linear
@@ -260,13 +270,13 @@ def sample_stack(pairs, xs, ys, zs, cfg: TorusKnotConfig) -> tuple[np.ndarray, n
             raise ValueError(f"degenerate eigenvalue data for pair {pair}")
         a = (z - y / xi) / denom
         d = y - a
-        # flat lists: numpy reads them faster than nested ones
+        # flat lists: validate_stack reads them as they are, and numpy reads
+        # them faster than nested ones
         us.extend((xi, 0.0, 0.0, 1 / xi))
         vs.extend((a, 1.0, a * d - 1.0, d))
-    us = np.array(us, dtype=complex).reshape(-1, 2, 2)
-    vs = np.array(vs, dtype=complex).reshape(-1, 2, 2)
     validate_stack(us, vs, xs, ys, zs)
-    return us, vs
+    return (np.array(us, dtype=complex).reshape(-1, 2, 2),
+            np.array(vs, dtype=complex).reshape(-1, 2, 2))
 
 
 def numeric_rep(pair: AdmissiblePair, z_param: complex, cfg: TorusKnotConfig) -> tuple:

@@ -437,23 +437,30 @@ def test_refusal_witnesses_are_pinned(state_budget):
 
 
 def test_verify_needs_no_complex_lu_and_no_numpy_sort(monkeypatch):
-    # validate_stack forms its determinants from the 2x2 entries and
+    # validate_stack decides its tests on Python complex scalars and
     # _term_layout inverts its ranking in Python, so a verify process never
-    # pages in LAPACK's complex LU or numpy's sort kernel; the real LU of
-    # scaled_abs_det stays, since its bits reach the report
-    real_det = np.linalg.det
+    # pages in LAPACK's complex LU, numpy's sort kernel, its isfinite loop or
+    # its complex abs loop; the real LU of scaled_abs_det and the real abs
+    # of its row scale stay, since their bits reach the report
+    real_det, real_abs = np.linalg.det, np.abs
 
-    def real_only_det(a):
-        if np.iscomplexobj(a):
-            raise AssertionError("np.linalg.det on a complex array")
-        return real_det(a)
+    def real_only(name, fn):
+        def guarded(a, *args, **kwargs):
+            if np.iscomplexobj(a):
+                raise AssertionError(f"{name} on a complex array")
+            return fn(a, *args, **kwargs)
+        return guarded
 
-    def no_argsort(*args, **kwargs):
-        raise AssertionError("np.argsort")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(name)
+        return refused
 
     traces._term_layout.cache_clear()
-    monkeypatch.setattr(np.linalg, "det", real_only_det)
-    monkeypatch.setattr(np, "argsort", no_argsort)
+    monkeypatch.setattr(np.linalg, "det", real_only("np.linalg.det", real_det))
+    monkeypatch.setattr(np, "abs", real_only("np.abs", real_abs))
+    monkeypatch.setattr(np, "argsort", refuse("np.argsort"))
+    monkeypatch.setattr(np, "isfinite", refuse("np.isfinite"))
     for cfg in coprime_configs(12):
         report = verify_theorem(cfg, max_k=1)
         assert report.all_passed, (cfg, report.failed)

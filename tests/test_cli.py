@@ -451,3 +451,15 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, buffering):
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_rotation_table_loads_no_numpy():
+    # the rotation table is exact algebra: neither the script nor run, which
+    # it exits through, may pull numpy into a fresh process
+    args, env = load_script("repin").command(["scripts/rotation_table.py", "2", "1"])
+    done = subprocess.run([args[0], "-X", "importtime", *args[1:]], cwd=ROOT, env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0
+    modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.decode().splitlines()]
+    assert "torusskein.sprime" in modules
+    assert not [name for name in modules if name.split(".")[0] == "numpy"]

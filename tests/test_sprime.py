@@ -36,8 +36,8 @@ from torusskein.sprime import (
     rotation_exponents,
     rotation_matrix,
     rotation_norm_exponent,
-    rotation_power,
     rotation_slices,
+    rotation_square,
     times_A,
     winding_part,
 )
@@ -239,7 +239,7 @@ def fresh_rotation_tables():
 
 def test_wrong_rotation_fails_the_checks_on_cached_tables(monkeypatch, fresh_rotation_tables):
     # the caches hold tables, never verdicts: behind emptied caches, A times
-    # the rotation's multiplier has (A f)^(2k) = A^(2k) and moves every
+    # the rotation's multiplier has (A f)^2 = A^2 and moves every
     # exponent by one, so both checks that read the cached tables fail
     rotation = sprime.rotation_matrix
 
@@ -443,13 +443,13 @@ def test_rotation_exponent_antisymmetry():
 
 
 def test_rotation_exponents_closed_form():
-    # u_j = slope - 2j, and the rotation's multiplier has order dividing 2k,
-    # on every slope the rotation table covers
+    # u_j = slope - 2j, and the rotation's multiplier squares to 1 (Cassini's
+    # identity), on every slope the rotation table covers
     for slope in range(2, 9):
         for k in (1, 2, 3):
             want = tuple(slope - 2 * j for j in range(1, slope))
             assert rotation_exponents(slope, k) == want, (slope, k)
-            assert rotation_power(slope, k) == W_ONE, (slope, k)
+            assert rotation_square(slope, k) == W_ONE, (slope, k)
 
 
 def test_normalized_basis_swaps_exactly():
@@ -480,7 +480,7 @@ def test_verify_fills_one_cache_entry_per_slope_and_k():
     # every caller reaches a cached builder with the same key, so no
     # (slope, k) table is computed twice
     per_slope = (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
-                 sprime.rotation_power)
+                 sprime.rotation_square)
     caches = per_slope + (sprime.reduction_relation, sprime.collar_states)
     clear_sprime_caches()
     verify_theorem(TorusKnotConfig(2, 3), max_k=2)
@@ -503,7 +503,7 @@ def test_verify_of_a_pair_with_seen_slopes_adds_no_miss():
     # (3, 5) shares slope 3 with (2, 3) and slope 5 with (2, 5): every
     # (slope, k) table it reads is already cached
     tables = (sprime.rotation_matrix, sprime.basis_coordinates, sprime.rotation_exponents,
-              sprime.rotation_power, sprime.reduction_relation, sprime.collar_states)
+              sprime.rotation_square, sprime.reduction_relation, sprime.collar_states)
     clear_sprime_caches()
     for p, q in ((2, 3), (2, 5)):
         verify_theorem(TorusKnotConfig(p, q), max_k=1)
