@@ -17,6 +17,7 @@ import sys
 
 from torusskein import run
 from torusskein.algebra import UniPoly
+from torusskein.skein import BudgetError
 from torusskein.sprime import (
     collar_states,
     power_tangle,
@@ -42,8 +43,10 @@ def main() -> int:
             ok = rotation_square(slope, k) == UniPoly.constant("w", 1)
             expo = rotation_exponents(slope, k)
             norm = rotation_norm_exponent(slope, 2 * k)
-            states = len(collar_states(slope, 2 * k))
-            print(f"{slope:>5} {k:>3} {collar.crossings:>9} {states:>6} {norm:>8} "
+            states = collar_states(slope, 2 * k)
+            if isinstance(states, BudgetError):  # a kept refusal, raised as a copy
+                raise BudgetError(str(states), **states.figures)
+            print(f"{slope:>5} {k:>3} {collar.crossings:>9} {len(states):>6} {norm:>8} "
                   f"{str(ok):>8}  {list(expo)}")
     return 0
 

@@ -7,9 +7,8 @@ builds the Chebyshev polynomials in each of them:
   arbitrary-precision integer coefficients; the ground ring of all skein
   computations.
 * :class:`UniPoly` -- dense univariate polynomials over ints or
-  :class:`Laurent`.  Over Laurent, ``%`` and ``pow(f, n, mod)`` work
-  modulo a polynomial with a unit leading coefficient: the quotient
-  S'(T, 2k) is such a ring.
+  :class:`Laurent`.  Over Laurent, ``%`` works modulo a polynomial with a
+  unit leading coefficient: the quotient S'(T, 2k) is such a ring.
 * :class:`TracePoly` -- sparse polynomials in the trace coordinates
   ``x, y, z`` with integer coefficients.
 * :func:`chebyshev_terms` -- X_(n+1) = g X_n - X_(n-1) for a variable g of
@@ -36,21 +35,19 @@ import operator
 from itertools import islice
 
 
-def _power(base, n: int, one, mod=None):
+def _power(base, n: int, one):
     """base ** n by square and multiply, with no product by ``one`` (the unit
-    of base's ring) and no square after the last bit; with ``mod``, every
-    product is reduced modulo it, as Python's three-argument pow does."""
+    of base's ring) and no square after the last bit."""
     if n < 0:
         raise ValueError("negative power; a unit's inverse is unit_inverse")
-    reduce = (lambda v: v) if mod is None else (lambda v: v % mod)
-    base, out = reduce(base), None
+    out = None
     while n:
         if n & 1:
-            out = base if out is None else reduce(out * base)
+            out = base if out is None else out * base
         n >>= 1
         if n:
-            base = reduce(base * base)
-    return reduce(one) if out is None else out
+            base = base * base
+    return one if out is None else out
 
 
 def _signed_sum(pieces) -> str:
@@ -342,8 +339,8 @@ class UniPoly:
                     out[d] = out[d] - factor * c
         return UniPoly(self.var, out[:top])
 
-    def __pow__(self, n: int, mod: "UniPoly | None" = None):
-        return _power(self, n, UniPoly.constant(self.var, 1), mod)
+    def __pow__(self, n: int):
+        return _power(self, n, UniPoly.constant(self.var, 1))
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

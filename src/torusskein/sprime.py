@@ -45,6 +45,7 @@ from functools import lru_cache
 from .algebra import Laurent, UniPoly
 from .skein import (
     AnnularTangle,
+    BudgetError,
     Multicurve,
     PlanarityError,
     SkeinElement,
@@ -100,10 +101,10 @@ def rotation_norm_exponent(slope: int, width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def collar_states(slope: int, width: int) -> Mapping:
+def collar_states(slope: int, width: int) -> Mapping | BudgetError:
     """Final states of the collar word alone (read-only, coefficients kept packed),
     the ``start`` of every rotation, without the states holding a winding-0 arc
-    (the quotient kills them).
+    (the quotient kills them), or the sum's refusal, kept so that it is summed once.
     The sum continues the collar one turn shorter, a prefix of the word, so the
     state budget trips at the slice and count of the sum from scratch."""
     word, start, done = rotation_slices(slope, width), None, 0
@@ -111,20 +112,27 @@ def collar_states(slope: int, width: int) -> Mapping:
         for s in range(1, slope - 1):  # fill the memo bottom-up, so recursion stays shallow
             collar_states(s, width)
         start, done = collar_states(slope - 1, width), len(rotation_slices(slope - 1, width))
-    rest = AnnularTangle(width, word[done:])
-    return resolve_states(rest, start=start, drop_trivial_arcs=True)
+        if isinstance(start, BudgetError):  # the prefix's refusal is the collar's
+            return start
+    try:
+        return resolve_states(AnnularTangle(width, word[done:]), start=start,
+                              drop_trivial_arcs=True)
+    except BudgetError as exc:
+        # a fresh copy, never raised, has no traceback: it keeps no frame alive
+        return BudgetError(str(exc), **exc.figures)
 
 
 def rotated_element(tangle: AnnularTangle, slope: int) -> SkeinElement:
     """The rotation operator applied to a closed tangle, normalization included,
     without the terms holding a winding-0 arc (the quotient kills them).
 
-    The tangle's state sum continues from :func:`collar_states`; both sums
-    are bounded by the state budget of :func:`resolve_states`, whose refusal
-    names the live state count and the strand count 2k.
+    The tangle's state sum continues from :func:`collar_states`, whose kept
+    refusal is raised as a copy; a refusal names the live states and 2k strands.
     """
-    width = tangle.endpoints
-    el = resolve(tangle, start=collar_states(slope, width), drop_trivial_arcs=True)
+    width, start = tangle.endpoints, collar_states(slope, tangle.endpoints)
+    if isinstance(start, BudgetError):
+        raise BudgetError(str(start), **start.figures)
+    el = resolve(tangle, start=start, drop_trivial_arcs=True)
     exp = rotation_norm_exponent(slope, width)
     return SkeinElement(width, {mc: c.shift(exp) for mc, c in el.terms.items()})
 
@@ -271,8 +279,7 @@ def basis_coordinates(slope: int, k: int) -> tuple:
 def rotation_square(slope: int, k: int) -> UniPoly:
     """f^2 modulo the relation.  When this is 1 the rotation is an
     involution on the quotient, so its order divides 2k; Cassini's identity
-    says it is 1 at every slope.  f is read before the relation, so a
-    refusal's witness names the collar that f's state sum reads first."""
+    says it is 1 at every slope."""
     f = rotation_matrix(slope, k)
     return f * f % reduction_relation(slope, k)
 

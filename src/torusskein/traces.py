@@ -43,9 +43,8 @@ numpy ``isfinite`` or ``abs`` loop, and :func:`_term_layout` inverts its
 ranking of the words with a Python sort.  A kernel left out is resident
 code that a process never pages in.
 
-The lru_cache memos behind trace_word, series_table and _term_layout
-(the words' terms laid out for the batch) are the only shared state in
-this module; the results do not depend on evaluation order.
+The lru_cache memos of trace_word and _term_layout are the only shared
+state in this module; the results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -64,15 +63,19 @@ from .skein import BudgetError
 
 SERIES_MAX = 16
 _TERM_PARTS = 3  # runs of term positions that trace_values forms one at a time
-WORD_BUDGET = 2 ** 12  # bound on (i+1)(j+1); `trace-poly 63 63` takes 0.4 s
+# bound on (i+1)(j+1)(i+j+2): about twice the word's terms times its length,
+# since trace_word's memo keeps every word of the chain that builds it and
+# their coefficients grow with the length; `trace-poly 63 63`, at the bound,
+# takes 0.2 s and 39 MB
+WORD_BUDGET = 2 ** 19
 
 
 def check_word(i: int, j: int) -> None:
-    """Raise BudgetError when tr(u^i v^j) has (i+1)(j+1) over WORD_BUDGET."""
-    if (i + 1) * (j + 1) > WORD_BUDGET:
-        raise BudgetError(
-            f"tr(u^{i} v^{j}): (i+1)(j+1) = {(i + 1) * (j + 1)} exceeds the "
-            f"word budget of {WORD_BUDGET}")
+    """Raise BudgetError when tr(u^i v^j) has (i+1)(j+1)(i+j+2) over WORD_BUDGET."""
+    work = (i + 1) * (j + 1) * (i + j + 2)
+    if work > WORD_BUDGET:
+        raise BudgetError(f"tr(u^{i} v^{j}): (i+1)(j+1)(i+j+2) = {work} exceeds the "
+                          f"word budget of {WORD_BUDGET}")
 
 
 @lru_cache(maxsize=None)
@@ -180,15 +183,12 @@ def trace_values(max_ij: int, xs, ys, zs) -> np.ndarray:
     return acc[order].T.reshape(-1, n, n)
 
 
-@lru_cache(maxsize=None)
 def series_table(max_i: int, max_j: int) -> tuple:
     """Power-series coefficients G[i][j] of the trace generating function.
 
     1/(1 - s x + s^2) expands to sum_i S_i(x) s^i with S_i the degree-i
     second-kind recursion polynomials, so the (i, j) coefficient is read off
-    as a finite combination of S_i(x) and S_j(y).  The table does not
-    depend on the knot, so it is cached; rows are tuples, so a cached table
-    is immutable.
+    as a finite combination of S_i(x) and S_j(y).
     """
     if max_i > SERIES_MAX or max_j > SERIES_MAX:
         raise ValueError(f"series bounds are limited to {SERIES_MAX}")

@@ -48,12 +48,15 @@ def state_budget(monkeypatch):
     """Lower ``skein.STATE_BUDGET`` for one test.
 
     The quotient's caches are emptied first, since a cached table answers
-    without running the state sum that the lowered bound should refuse.
+    without running the state sum that the lowered bound should refuse, and
+    again after the test, since a cached refusal holds only at the bound
+    that refused it.
     """
     def lower(limit):
         clear_sprime_caches()
         monkeypatch.setattr(skein, "STATE_BUDGET", limit)
-    return lower
+    yield lower
+    clear_sprime_caches()
 
 
 def reference_resolve_states(tangle, budget=None, start=None, *, drop_trivial_arcs=False):

@@ -172,7 +172,7 @@ def test_criterion_5_rotation_order():
             # the rotation is multiplication by f: of order dividing 2k
             # exactly when f^(2k) = 1 modulo the relation
             f = rotation_matrix(p, k)
-            assert pow(f, 2 * k, reduction_relation(p, k)) == UniPoly.constant("w", 1), (p, k)
+            assert f ** (2 * k) % reduction_relation(p, k) == UniPoly.constant("w", 1), (p, k)
 
 
 def test_criterion_6_basis_and_rotation_exponents():

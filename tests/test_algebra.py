@@ -186,11 +186,6 @@ def test_remainder_degree_below_divisor(a, r):
     assert (a % r).degree < r.degree
 
 
-@given(w_polys(3), st.integers(0, 6), relations)
-def test_modular_power_matches_full_power(f, n, r):
-    assert pow(f, n, r) == (f ** n) % r
-
-
 @given(w_polys(), laurents(max_terms=3).filter(lambda c: c and c.unit_parts() is None))
 def test_remainder_needs_a_unit_leading_coefficient(a, lead):
     with pytest.raises(ValueError, match="not a unit"):

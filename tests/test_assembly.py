@@ -12,7 +12,7 @@ from conftest import flipped_series_table, substitute, word_trace, z_coefficient
 
 from torusskein.algebra import TracePoly, chebyshev, chebyshev_terms
 from torusskein.charvariety import Component, TorusKnotConfig, admissible_pairs
-from torusskein import assembly, skein, traces
+from torusskein import assembly, skein, sprime, traces
 from torusskein.assembly import (
     Deg0,
     DegK,
@@ -29,6 +29,7 @@ from torusskein.assembly import (
     verify_dst,
     verify_theorem,
 )
+from torusskein.skein import BudgetError
 from torusskein.traces import numeric_rep, series_table, trace_word
 
 
@@ -477,6 +478,68 @@ def test_rotation_refusal_witness_names_the_case(state_budget):
     assert refusal == {"slope": 9, "k": 2, "budget": 20, "states": refusal["states"]}
     assert refusal["states"] > 20
     assert report.failed == [] and not report.all_passed
+
+
+def test_a_refused_collar_is_summed_once(monkeypatch, state_budget):
+    # lru_cache keeps no exception, so collar_states keeps a refusal as its
+    # value, with no traceback: every check that reads a refused table then
+    # raises a copy of it, and the collar is summed once
+    real, refusals = skein.resolve_states, []
+
+    def counted(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except BudgetError:
+            refusals.append(args[0].endpoints)
+            raise
+    monkeypatch.setattr(skein, "resolve_states", counted)
+    monkeypatch.setattr(sprime, "resolve_states", counted)
+    for budget, sums in ((60, 1), (20, 2)):  # 3 and 7 when refusals are summed afresh
+        state_budget(budget)
+        refusals.clear()
+        report = verify_theorem(TorusKnotConfig(3, 5), max_k=3)
+        assert len(refusals) == sums, (budget, refusals)
+        refused = [c["witness"]["refused"] for c in report.checks if assembly.refused(c)]
+        assert len(refused) > sums
+        for case in refused:
+            kept = sprime.collar_states(case["slope"], 2 * case["k"])
+            assert isinstance(kept, BudgetError) and kept.__traceback__ is None
+            assert kept.figures == {"states": case["states"], "budget": budget,
+                                    "strands": 2 * case["k"]}
+
+
+def _zeroed_report(cfg, max_k):
+    """verify_theorem's JSON as `verify --no-timings` prints it."""
+    report = verify_theorem(cfg, max_k=max_k)
+    for check in report.checks:
+        check["ms"] = 0.0
+    return report.json_str()
+
+
+def test_refusal_witnesses_do_not_depend_on_read_order(state_budget):
+    # in `verify` only a collar sum can trip the budget, since the null and
+    # rainbow tangles that continue a collar are caps only, and the first
+    # collar that trips is the same whichever table reads it first: so each
+    # report is the same from cold caches and after a k-major pass that
+    # reads every table of both slopes first
+    tables = (sprime.reduction_relation, sprime.rotation_matrix, sprime.basis_coordinates,
+              sprime.rotation_square, sprime.rotation_exponents)
+    refusals = 0
+    for budget in (8, 20, 60, 170):
+        for cfg in coprime_configs(7):
+            state_budget(budget)
+            cold = _zeroed_report(cfg, 3)
+            refusals += cold.count('"refused"')
+            state_budget(budget)
+            for k in (1, 2, 3):
+                for slope in (cfg.p, cfg.q):
+                    for table in tables:
+                        try:
+                            table(slope, k)
+                        except BudgetError:
+                            pass
+            assert _zeroed_report(cfg, 3) == cold, (cfg, budget)
+    assert refusals > 0
 
 
 def test_report_exit_code(monkeypatch, state_budget):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,13 +67,18 @@ def test_trace_poly_high_degree(capsys):
 
 
 def test_trace_poly_refuses_oversized_words(capsys):
-    # (i+1)(j+1) is about twice the word's term count; an oversized word is
-    # refused before any of it is built
-    trace_word.cache_clear()
-    code, out, err = run_cli(capsys, "trace-poly", "300", "300")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and str(WORD_BUDGET) in err
-    assert trace_word.cache_info().currsize == 0
+    # (i+1)(j+1) is about twice the word's term count, and the memo keeps the
+    # i+j+2 words of its chain; an oversized word is refused before any of it
+    # is built, a thin one too (`4095 0` would keep 1.4 GB); 63 63 sits on the
+    # budget, so 64 63 is the least square word past it
+    for i, j in ((300, 300), (4095, 0), (0, 4095), (64, 63)):
+        trace_word.cache_clear()
+        code, out, err = run_cli(capsys, "trace-poly", str(i), str(j))
+        assert code == 2 and out == ""
+        assert err == (f"error: tr(u^{i} v^{j}): (i+1)(j+1)(i+j+2) = "
+                       f"{(i + 1) * (j + 1) * (i + j + 2)} exceeds the word budget of "
+                       f"{WORD_BUDGET}\n")
+        assert trace_word.cache_info().currsize == 0
 
 
 def test_char_variety_human(capsys):
@@ -181,16 +187,19 @@ def test_skein_basis_budget_accepts_its_largest_case(capsys):
 
 
 @pytest.mark.parametrize("p, q, budget, words", [
-    (89, 97, WORD_BUDGET, "tr(u^46 v^87): (i+1)(j+1) = 4136 exceeds the word budget"),
-    (1001, 1003, WORD_BUDGET, "tr(u^4 v^819): (i+1)(j+1) = 4100 exceeds the word budget"),
-    (5, 100003, WORD_BUDGET, "tr(u^819 v^4): (i+1)(j+1) = 4100 exceeds the word budget"),
+    (89, 97, WORD_BUDGET,
+     "tr(u^44 v^87): (i+1)(j+1)(i+j+2) = 526680 exceeds the word budget"),
+    (1001, 1003, WORD_BUDGET,
+     "tr(u^1 v^511): (i+1)(j+1)(i+j+2) = 526336 exceeds the word budget"),
+    (5, 100003, WORD_BUDGET,
+     "tr(u^321 v^4): (i+1)(j+1)(i+j+2) = 526470 exceeds the word budget"),
     (41, 48, ORBIT_BUDGET,
      "degree-1 orbits of (41,48): the sum of (j1+1)(j2+1) = 262890 exceeds the orbit budget"),
 ], ids=["89-97-4096", "1001-1003-4096", "5-100003-4096", "41-48-262144"])
 def test_skein_basis_refuses_orbits_past_their_budgets(capsys, monkeypatch, p, q, budget, words):
-    # tr(u^46 v^87) of (89, 97) is past the word budget, and the orbit words
+    # tr(u^44 v^87) of (89, 97) is past the word budget, and the orbit words
     # of (41, 48) together past the orbit budget: refused before any trace is
-    # built, after one pass over fewer than 2 * WORD_BUDGET orbits, none kept
+    # built, after one pass over fewer than 2^13 orbits, none kept
     visits = []
 
     def counted_orbits(cfg, k):
@@ -205,7 +214,7 @@ def test_skein_basis_refuses_orbits_past_their_budgets(capsys, monkeypatch, p, q
         code, out, err = run_cli(capsys, "skein-basis", str(p), str(q), "--degree", "1", *extra)
         assert code == 2 and out == ""
         assert err == f"error: {words} of {budget}\n"
-        assert len(visits) == 1 and visits[0] < 2 * WORD_BUDGET
+        assert len(visits) == 1 and visits[0] < 2 ** 13
 
 
 def closed_form_orbit_work(cfg, k):
@@ -215,7 +224,11 @@ def closed_form_orbit_work(cfg, k):
     work = 0
     for j1 in range(1, cfg.q // 2 + 1):
         top = cfg.p - 1 if 2 * j1 < cfg.q else (cfg.p - 1) // 2  # p is odd if q = 2*j1
-        j2 = max(1, WORD_BUDGET // (j1 + 1))  # the least j2 with (j1+1)(j2+1) past it
+        # the least j2 with a m (a + m) past the budget, a = j1+1 and m = j2+1:
+        # the least m with m (a + m) > budget // a, just above the positive
+        # root of m^2 + a m - budget // a
+        a = j1 + 1
+        j2 = max(1, (math.isqrt(a * a + 4 * (WORD_BUDGET // a)) - a) // 2)
         if j2 <= top:
             check_word(j1, j2)
         work += (j1 + 1) * top * (top + 3) // 2  # (j1+1) times the sum of j2+1
@@ -318,24 +331,6 @@ def test_sweep_counts_refusals_apart(capsys, monkeypatch, state_budget):
     assert out.endswith("0 failing configuration(s), 3 refused configuration(s)\n")
 
 
-def test_dst_conditioning_exits_one_on_a_failing_pair(capsys, monkeypatch):
-    script = load_script("dst_conditioning")
-    monkeypatch.setattr(sys, "argv", ["dst_conditioning.py", "5"])
-    assert script.main() == 0
-    passing = capsys.readouterr().out
-    assert "FAILS" not in passing
-    real = script.verify_dst
-
-    def failing_at_3_4(cfg):
-        ok, det, cond = real(cfg)
-        return ok and (cfg.p, cfg.q) != (3, 4), det, cond
-    monkeypatch.setattr(script, "verify_dst", failing_at_3_4)
-    assert script.main() == 1
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines() if "FAILS" in line] == [
-        line + "  <-- FAILS" for line in passing.splitlines() if "( 3, 4)" in line]
-
-
 def test_benchmark_tracer_names_exist():
     # the benchmark's tracer looks these names up when it installs; its tables
     # are read off the file, without importing the harness
@@ -363,18 +358,9 @@ def test_usage_errors_exit_two(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("limit", ["2", "0"])
-def test_dst_conditioning_with_no_pair_in_range(capsys, monkeypatch, limit):
-    script = load_script("dst_conditioning")
-    monkeypatch.setattr(sys, "argv", ["dst_conditioning.py", limit])
-    assert script.main() == 0
-    assert capsys.readouterr().out.endswith(f"no coprime pair p < q <= {limit}\n")
-
-
 @pytest.mark.parametrize("argv", [["verify_sweep.py", "8", "two"],
-                                  ["dst_conditioning.py", "12.5"],
                                   ["rotation_table.py", "x"]],
-                         ids=["verify_sweep", "dst_conditioning", "rotation_table"])
+                         ids=["verify_sweep", "rotation_table"])
 def test_scripts_refuse_non_integer_arguments(capsys, monkeypatch, argv):
     # exit 1 means a failed case, so a bad argument exits 2, as torusskein does
     script = load_script(argv[0].removesuffix(".py"))
@@ -386,8 +372,8 @@ def test_scripts_refuse_non_integer_arguments(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [["verify_sweep.py", "8", "1"], ["verify_sweep.py", "8", "2"],
-                                  ["verify_sweep.py", "12", "2"], ["dst_conditioning.py"]],
-                         ids=["sweep-8-1", "sweep-8-2", "sweep-12-2", "dst-conditioning"])
+                                  ["verify_sweep.py", "12", "2"]],
+                         ids=["sweep-8-1", "sweep-8-2", "sweep-12-2"])
 def test_scripts_pass(capsys, monkeypatch, argv):
     script = load_script(argv[0].removesuffix(".py"))
     monkeypatch.setattr(sys, "argv", argv)
@@ -419,7 +405,10 @@ def peak_rss_mb(argv):
      ["skein-basis", "89", "97", "--degree", "1"], (2, 2)),
     # T_n keeps two terms at a time
     (["chebyshev", "1024"], ["chebyshev", "20000"], (0, 2)),
-], ids=["skein-basis-1001-1003", "chebyshev-1024"])
+    # thin words past the word budget are refused before their chain is built
+    (["trace-poly", "4095", "0"], ["trace-poly", "64", "63"], (2, 2)),
+    (["trace-poly", "0", "4095"], ["trace-poly", "64", "63"], (2, 2)),
+], ids=["skein-basis-1001-1003", "chebyshev-1024", "trace-poly-4095-0", "trace-poly-0-4095"])
 def test_peak_rss_stays_near_a_refused_call(argv, floor_argv, codes):
     (code, peak), (floor_code, floor) = peak_rss_mb(argv), peak_rss_mb(floor_argv)
     assert (code, floor_code) == codes
@@ -433,8 +422,7 @@ def test_peak_rss_stays_near_a_refused_call(argv, floor_argv, codes):
     ["torusskein", "verify", "3", "5", "--max-k", "2"],
     ["scripts/verify_sweep.py", "8", "1"],
     ["scripts/rotation_table.py", "4", "1"],
-    ["scripts/dst_conditioning.py", "6"],
-], ids=["trace-poly", "trace-poly-63-63", "verify", "verify-sweep", "rotation-table", "dst-conditioning"])
+], ids=["trace-poly", "trace-poly-63-63", "verify", "verify-sweep", "rotation-table"])
 def test_closed_stdout_exits_2_with_one_error_line(argv, buffering):
     # every entry point, given a pipe whose reader is gone: buffered, a short
     # output fails at run's last flush; unbuffered, at the first print

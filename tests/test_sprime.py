@@ -209,7 +209,7 @@ def test_rotation_order():
 
 @pytest.mark.parametrize("n", range(8))
 def test_matrix_power_squares_only_while_bits_remain(monkeypatch, n):
-    # the n-th power of the rotation's multiplier f, modulo the relation:
+    # the n-th power of the rotation's multiplier f, then reduced once:
     # square-and-multiply takes bit_length - 1 squarings and popcount - 1
     # products, none by 1; n = 6 takes both branches
     f, rel = rotation_matrix(5, 2), reduction_relation(5, 2)
@@ -224,7 +224,7 @@ def test_matrix_power_squares_only_while_bits_remain(monkeypatch, n):
         return product(*args)
 
     monkeypatch.setattr(UniPoly, "__mul__", counted)
-    assert pow(f, n, rel) == want
+    assert f ** n % rel == want
     assert len(calls) == max(n.bit_length() - 1, 0) + max(n.bit_count() - 1, 0), n
 
 
