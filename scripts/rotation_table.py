@@ -10,7 +10,9 @@ order divide 2k.
 
 Usage: python scripts/rotation_table.py [MAX_SLOPE] [MAX_K]
 
-Exits 2 on a non-integer argument or a closed stdout, 0 otherwise.
+Exits 2 on a non-integer argument, a collar refused by the state budget
+(one error line, after the rows already printed) or a closed stdout, 0
+otherwise.
 """
 
 import sys
@@ -37,17 +39,19 @@ def main() -> int:
         return 2
     print(f"{'slope':>5} {'k':>3} {'crossings':>9} {'states':>6} {'A-power':>8} "
           f"{'order ok':>8}  exponents u_j")
-    for slope in range(2, max_slope + 1):
-        for k in range(1, max_k + 1):
-            collar = rotate(power_tangle(k, 0), slope)
-            ok = rotation_square(slope, k) == UniPoly.constant("w", 1)
-            expo = rotation_exponents(slope, k)
-            norm = rotation_norm_exponent(slope, 2 * k)
-            states = collar_states(slope, 2 * k)
-            if isinstance(states, BudgetError):  # a kept refusal, raised as a copy
-                raise BudgetError(str(states), **states.figures)
-            print(f"{slope:>5} {k:>3} {collar.crossings:>9} {len(states):>6} {norm:>8} "
-                  f"{str(ok):>8}  {list(expo)}")
+    try:
+        for slope in range(2, max_slope + 1):
+            for k in range(1, max_k + 1):
+                collar = rotate(power_tangle(k, 0), slope)
+                ok = rotation_square(slope, k) == UniPoly.constant("w", 1)
+                expo = rotation_exponents(slope, k)
+                norm = rotation_norm_exponent(slope, 2 * k)
+                states = collar_states(slope, 2 * k)
+                print(f"{slope:>5} {k:>3} {collar.crossings:>9} {len(states):>6} "
+                      f"{norm:>8} {str(ok):>8}  {list(expo)}")
+    except BudgetError as exc:  # rotation_square raises its collar's refusal first
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

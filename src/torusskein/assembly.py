@@ -47,7 +47,7 @@ DEFAULT_SEED = 20259
 MAX_IJ = 8  # the trace check compares tr(u^i v^j) for i, j <= MAX_IJ
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deg0:
     """Index of a degree-0 basis element x^m1 P^n y^m2."""
 
@@ -56,7 +56,7 @@ class Deg0:
     m2: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegK:
     """Index of a degree-k basis orbit, stored by its lex-least representative."""
 
@@ -191,7 +191,7 @@ def refused(check: dict) -> bool:
     return "refused" in check["witness"]
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     config: dict
     checks: list = field(default_factory=list)

@@ -21,7 +21,7 @@ from itertools import islice
 from .algebra import TracePoly, chebyshev_terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusKnotConfig:
     p: int
     q: int
@@ -35,7 +35,7 @@ class TorusKnotConfig:
             raise ValueError("p and q must be coprime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissiblePair:
     """Eigenvalue labels (k on u mod q, l on v mod p) of the same parity."""
 
@@ -43,7 +43,7 @@ class AdmissiblePair:
     l: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One line of the character variety: the abelian line when ``pair`` is
     None, otherwise the irreducible line of that admissible pair.

@@ -160,7 +160,7 @@ def _json_field(obj, key: str, kind: type, where: str):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnularTangle:
     """A banded tangle presented as a slice word on ``endpoints`` strands."""
 
@@ -220,7 +220,7 @@ class AnnularTangle:
         return AnnularTangle(_json_field(data, "endpoints", int, "diagram"), tuple(slices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multicurve:
     """Normal form: matched arcs with windings, plus parallel core loops.
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import ROOT, load_script
-from torusskein import cli, skein
+from torusskein import cli, run, skein
 from torusskein.assembly import degk_orbits
 from torusskein.charvariety import TorusKnotConfig
 from torusskein.cli import BASIS_BUDGET, CHEBYSHEV_BUDGET, ORBIT_BUDGET, main, orbit_work
@@ -389,14 +389,33 @@ def test_verify_report_is_strict_json_past_float_range(capsys):
     json.loads(out, parse_constant=reject)
 
 
+# Linux keeps a process's peak RSS across exec, and a spawned child starts
+# from the peak of the process it was spawned from: spawned straight from
+# this test process, every child would report at least this process's peak.
+# A bare interpreter (about 8 MB) spawns it instead and prints its wait4 figures.
+SPAWN = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, "
+         "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0), "
+         "(os.POSIX_SPAWN_DUP2, 1, 2)]); "
+         "_, status, usage = os.wait4(pid, 0); "
+         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
 def peak_rss_mb(argv):
     """Exit code and peak RSS in MB of the torusskein argv in a fresh process."""
     args, env = load_script("repin").command(["torusskein", *argv])
-    child = subprocess.Popen(args, cwd=ROOT, env=env,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, usage.ru_maxrss / 1024
+    done = subprocess.run([sys.executable, "-S", "-c", SPAWN, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    code, kb = map(int, done.stdout.split())
+    return code, kb / 1024
+
+
+def test_peak_rss_is_the_childs_own():
+    # a test process far past any child's peak must not show in the figure
+    ballast = b"x" * (128 * 2**20)  # resident until the child has exited
+    code, peak = peak_rss_mb(["trace-poly", "1", "1"])
+    del ballast
+    assert code == 0
+    assert peak < 64, peak
 
 
 @pytest.mark.parametrize("argv, floor_argv, codes", [
@@ -413,6 +432,16 @@ def test_peak_rss_stays_near_a_refused_call(argv, floor_argv, codes):
     (code, peak), (floor_code, floor) = peak_rss_mb(argv), peak_rss_mb(floor_argv)
     assert (code, floor_code) == codes
     assert peak - floor <= 8, (peak, floor)
+
+
+def test_frontier_memory_stays_near_a_small_verify():
+    # no benchmark workload runs state sums this large: 5 7 up to k = 6 peaks
+    # about 15 MB above 2 3 at k = 1, whose peak is mostly numpy's import
+    (code, peak), (floor_code, floor) = (
+        peak_rss_mb(["verify", "5", "7", "--max-k", "6", "--json", "--no-timings"]),
+        peak_rss_mb(["verify", "2", "3", "--max-k", "1"]))
+    assert (code, floor_code) == (0, 0)
+    assert peak - floor <= 20, (peak, floor)
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
@@ -439,6 +468,19 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, buffering):
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_rotation_table_refuses_a_collar_with_one_error_line(capsys, monkeypatch,
+                                                            state_budget):
+    # the slope-3 collar on 6 strands passes 20 live states: the rows before
+    # it stay, then one error line and exit 2, as torusskein's refusals do
+    state_budget(20)
+    script = load_script("rotation_table")
+    monkeypatch.setattr(sys, "argv", ["rotation_table.py", "4", "3"])
+    assert run(script.main) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 6  # the header, slope 2 at k = 1..3, slope 3 at k = 1, 2
+    assert err == "error: 21 live states on 6 strands exceed the state budget of 20\n"
 
 
 def test_rotation_table_loads_no_numpy():
