@@ -298,30 +298,32 @@ class SkeinElement:
 # ---------------------------------------------------------------------------
 # state machine
 #
-# A state is (ends, arcs, loops).  ends[i] = (far, w) describes the open
-# strand end at angular position i: far >= 0 is the position of the other
-# end of its curve, far < 0 the marked boundary point ~far; w is the signed
-# number of seam crossings accumulated walking along the curve from the far
-# end to this end.  A crossing's turnback smoothing and a cap share one
-# join, _turnback; the cap then deletes the two joined positions.
+# A state is ((fars, ws), arcs, loops), with one entry of fars and of ws per
+# open strand end, by angular position i: fars[i] >= 0 is the position of
+# the other end of its curve, fars[i] < 0 the marked boundary point
+# ~fars[i]; ws[i] is the signed number of seam crossings accumulated walking
+# along the curve from the far end to this end.  Two flat tuples spare the
+# 56-byte (far, w) tuple that each end would take on its own.  A crossing's
+# turnback smoothing and a cap share one join, _turnback; the cap then
+# deletes the two joined positions.
 # ---------------------------------------------------------------------------
 
 
 def _initial_state(width: int):
-    return (tuple((~e, 0) for e in range(width)), (), 0)
+    return ((tuple(~e for e in range(width)), (0,) * width), (), 0)
 
 
 def _turnback(state, i):
     """Join the curves at cyclic positions i, i+1, and leave a fresh arc between
     the two positions; returns (state, whether a contractible loop closed)."""
-    ends, arcs, loops = state
-    j = (i + 1) % len(ends)
+    (fars, ws), arcs, loops = state
+    j = (i + 1) % len(fars)
     seam = 1 if j == 0 else 0  # the join's traversal from i to j crosses the seam
-    (fu, wu), (fv, wv) = ends[i], ends[j]
+    fu, fv = fars[i], fars[j]
     closed = False
-    ends = list(ends)
+    fars, ws = list(fars), list(ws)
     if fu == j:
-        total = wu + seam
+        total = ws[i] + seam
         if total == 0:
             closed = True
         elif total in (1, -1):
@@ -329,7 +331,7 @@ def _turnback(state, i):
         else:
             raise PlanarityError(f"closed component with net winding {total}")
     else:
-        walk = wu + seam - wv  # fu -> i -> j -> fv
+        walk = ws[i] + seam - ws[j]  # fu -> i -> j -> fv
         if fu < 0 and fv < 0:
             a, b, w = ~fu, ~fv, walk
             if a > b:
@@ -338,39 +340,40 @@ def _turnback(state, i):
                 raise PlanarityError(f"arc ({a},{b}) with net winding {w}")
             arcs = tuple(sorted(arcs + ((a, b, w),)))
         if fv >= 0:
-            ends[fv] = (fu, walk)
+            fars[fv], ws[fv] = fu, walk
         if fu >= 0:
-            ends[fu] = (fv, -walk)
-    ends[i], ends[j] = (j, -seam), (i, seam)
-    return (tuple(ends), arcs, loops), closed
+            fars[fu], ws[fu] = fv, -walk
+    fars[i], fars[j], ws[i], ws[j] = j, i, -seam, seam
+    return ((tuple(fars), tuple(ws)), arcs, loops), closed
 
 
 def _apply_cap(state, i):
-    (ends, arcs, loops), closed = _turnback(state, i)
-    if i == len(ends) - 1:  # the pair across the seam: positions 0 and i
-        return (tuple([(f - 1 if f > 0 else f, w) for f, w in ends[1:i]]), arcs, loops), closed
-    return (tuple([(f - 2 if f > i else f, w) for f, w in ends[:i] + ends[i + 2:]]),
-            arcs, loops), closed
+    ((fars, ws), arcs, loops), closed = _turnback(state, i)
+    j = (i + 1) % len(fars)
+    lo = 1 if j == 0 else 0  # the pair across the seam: positions 0 and i
+    # the kept ends start at lo, and a far past j moves down by the 2 - lo
+    # deleted positions below it
+    return ((tuple([f - 2 + lo if f > j else f for f in fars[lo:i] + fars[i + 2:]]),
+             ws[lo:i] + ws[i + 2:]), arcs, loops), closed
 
 
 def _apply_cup(state, i):
-    ends, arcs, loops = state
-    shifted = [(f + 2 if f >= i else f, w) for f, w in ends]
-    return (tuple(shifted[:i] + [(i + 1, 0), (i, 0)] + shifted[i:]), arcs, loops)
+    (fars, ws), arcs, loops = state
+    fars = [f + 2 if f >= i else f for f in fars]
+    return ((tuple(fars[:i] + [i + 1, i] + fars[i:]), ws[:i] + (0, 0) + ws[i:]), arcs, loops)
 
 
 def _apply_rot(state, sign):
-    ends, arcs, loops = state
-    width = len(ends)
-    ends = list(ends)
-    mover = width - 1 if sign == 1 else 0
-    far, w = ends[mover]
-    ends[mover] = (far, w + sign)
+    (fars, ws), arcs, loops = state
+    width = len(fars)
+    mover = -1 if sign == 1 else 0  # the end that passes the seam
+    cut = -sign % width  # the position that the rotation brings to 0
+    far, ws = fars[mover], list(ws)
+    ws[mover] += sign
     if far >= 0:
-        ends[far] = (ends[far][0], ends[far][1] - sign)
-    ends = [((f + sign) % width if f >= 0 else f, w) for f, w in ends]
-    ends = ends[-1:] + ends[:-1] if sign == 1 else ends[1:] + ends[:1]
-    return (tuple(ends), arcs, loops)
+        ws[far] -= sign
+    fars = [(f + sign) % width if f >= 0 else f for f in fars]
+    return ((tuple(fars[cut:] + fars[:cut]), tuple(ws[cut:] + ws[:cut])), arcs, loops)
 
 
 def _branches(states: Mapping, ev):
@@ -550,7 +553,7 @@ def resolve(tangle: AnnularTangle, budget: int | None = None,
         raise MalformedTangle(
             f"tangle leaves {tangle.final_width} strands unclosed")
     states = resolve_states(tangle, budget, start, drop_trivial_arcs=drop_trivial_arcs)
-    # a closed state ((), arcs, loops) is exactly one multicurve, decoded once
+    # a closed state (((), ()), arcs, loops) is exactly one multicurve, decoded once
     return SkeinElement(tangle.endpoints, {
         Multicurve(arcs, loops): coeff for (_, arcs, loops), coeff in states.items()})
 

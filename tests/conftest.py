@@ -9,7 +9,8 @@ import pytest
 
 from torusskein import skein, sprime
 from torusskein.algebra import DELTA, Laurent, TracePoly, UniPoly, chebyshev_terms
-from torusskein.skein import AnnularTangle, BudgetError, SkeinElement, turn_slices
+from torusskein.skein import (CAP, CUP, X, AnnularTangle, BudgetError, PlanarityError,
+                              SkeinElement, turn_slices)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,16 +60,117 @@ def state_budget(monkeypatch):
     clear_sprime_caches()
 
 
+# ---------------------------------------------------------------------------
+# the oracle's own state machine, on one (far, w) pair per strand end where
+# ``skein`` keeps two flat tuples: it shares no code with the engine's
+# machine, so comparing the two sums checks one layout against the other.
+#
+# A state is (ends, arcs, loops).  ends[i] = (far, w) describes the open
+# strand end at angular position i: far >= 0 is the position of the other
+# end of its curve, far < 0 the marked boundary point ~far; w is the signed
+# number of seam crossings accumulated walking along the curve from the far
+# end to this end.
+# ---------------------------------------------------------------------------
+
+
+def _initial_state(width):
+    return (tuple((~e, 0) for e in range(width)), (), 0)
+
+
+def _turnback(state, i):
+    ends, arcs, loops = state
+    j = (i + 1) % len(ends)
+    seam = 1 if j == 0 else 0  # the join's traversal from i to j crosses the seam
+    (fu, wu), (fv, wv) = ends[i], ends[j]
+    closed = False
+    ends = list(ends)
+    if fu == j:
+        total = wu + seam
+        if total == 0:
+            closed = True
+        elif total in (1, -1):
+            loops += 1
+        else:
+            raise PlanarityError(f"closed component with net winding {total}")
+    else:
+        walk = wu + seam - wv  # fu -> i -> j -> fv
+        if fu < 0 and fv < 0:
+            a, b, w = ~fu, ~fv, walk
+            if a > b:
+                a, b, w = b, a, -w
+            if w not in (0, -1):
+                raise PlanarityError(f"arc ({a},{b}) with net winding {w}")
+            arcs = tuple(sorted(arcs + ((a, b, w),)))
+        if fv >= 0:
+            ends[fv] = (fu, walk)
+        if fu >= 0:
+            ends[fu] = (fv, -walk)
+    ends[i], ends[j] = (j, -seam), (i, seam)
+    return (tuple(ends), arcs, loops), closed
+
+
+def _apply_cap(state, i):
+    (ends, arcs, loops), closed = _turnback(state, i)
+    if i == len(ends) - 1:  # the pair across the seam: positions 0 and i
+        return (tuple([(f - 1 if f > 0 else f, w) for f, w in ends[1:i]]), arcs, loops), closed
+    return (tuple([(f - 2 if f > i else f, w) for f, w in ends[:i] + ends[i + 2:]]),
+            arcs, loops), closed
+
+
+def _apply_cup(state, i):
+    ends, arcs, loops = state
+    shifted = [(f + 2 if f >= i else f, w) for f, w in ends]
+    return (tuple(shifted[:i] + [(i + 1, 0), (i, 0)] + shifted[i:]), arcs, loops)
+
+
+def _apply_rot(state, sign):
+    ends, arcs, loops = state
+    width = len(ends)
+    ends = list(ends)
+    mover = width - 1 if sign == 1 else 0
+    far, w = ends[mover]
+    ends[mover] = (far, w + sign)
+    if far >= 0:
+        ends[far] = (ends[far][0], ends[far][1] - sign)
+    ends = [((f + sign) % width if f >= 0 else f, w) for f, w in ends]
+    ends = ends[-1:] + ends[:-1] if sign == 1 else ends[1:] + ends[:1]
+    return (tuple(ends), arcs, loops)
+
+
+def _branches(states, ev):
+    """(state, value, new state, A-exponent, whether a contractible loop closed)
+    for each branch of one slice over every live state."""
+    op, arg = ev[0], ev[1]
+    if op == X:
+        sign = ev[2]
+        for state, value in states.items():
+            yield state, value, state, sign, False
+            turned, closed = _turnback(state, arg)
+            yield state, value, turned, -sign, closed
+    elif op == CAP:
+        for state, value in states.items():
+            capped, closed = _apply_cap(state, arg)
+            yield state, value, capped, 0, closed
+    else:
+        apply = _apply_cup if op == CUP else _apply_rot
+        for state, value in states.items():
+            yield state, value, apply(state, arg), 0, False
+
+
 def reference_resolve_states(tangle, budget=None, start=None, *, drop_trivial_arcs=False):
     """The state sum over Laurent coefficients, one dict per live state's
-    value: the oracle of ``skein.resolve_states``, which packs them into
-    ints.  Same state machine, same budget rule, same pruning."""
+    value, on the pair-layout machine above: the oracle of
+    ``skein.resolve_states``, which packs the values into ints and keeps a
+    state's ends as ((fars, ws), arcs, loops).  Same budget rule, same
+    pruning.  ``start`` and the result are in the engine's layout; the
+    sum itself runs on (far, w) pairs."""
     limit = skein.STATE_BUDGET if budget is None else budget
-    states = ({skein._initial_state(tangle.endpoints): Laurent.one()} if start is None
-              else dict(start))
+    states = ({_initial_state(tangle.endpoints): Laurent.one()} if start is None
+              else {(tuple(zip(fars, ws)), arcs, loops): c
+                    for ((fars, ws), arcs, loops), c in start.items()})
     for ev in tangle.slices:
         merged = {}
-        for state, coeff, new_state, exp, closed in skein._branches(states, ev):
+        for state, coeff, new_state, exp, closed in _branches(states, ev):
             if (drop_trivial_arcs and new_state[1] is not state[1]
                     and any(w == 0 for _, _, w in new_state[1])):
                 continue
@@ -85,7 +187,10 @@ def reference_resolve_states(tangle, budget=None, start=None, *, drop_trivial_ar
             raise BudgetError(f"{len(merged)} live states", states=len(merged),
                               budget=limit, strands=tangle.endpoints)
         states = merged
-    return states
+    # the one fixed map from (far, w) pairs to the engine's (fars, ws) tuples;
+    # ``start`` was read through its inverse, zip
+    return {((tuple(f for f, _ in ends), tuple(w for _, w in ends)), arcs, loops): c
+            for (ends, arcs, loops), c in states.items()}
 
 
 def scale(el, c):

@@ -267,7 +267,7 @@ def test_mixed_class_merge_raises():
     turned, _ = skein._turnback(plain, 0)
     capped = AnnularTangle(2, (cap(0),))
     assert dict(resolve_states(capped, start={plain: A(1), turned: A(-1)})) == {
-        ((), ((0, 1, 0),), 0): Laurent({-3: -1})}
+        (((), ()), ((0, 1, 0),), 0): Laurent({-3: -1})}
     with pytest.raises(PlanarityError, match="differ mod 4"):
         resolve_states(capped, start={plain: Laurent.one(), turned: Laurent.one()})
     with pytest.raises(PlanarityError, match="mixes exponent classes mod 4"):
