@@ -298,29 +298,30 @@ class SkeinElement:
 # ---------------------------------------------------------------------------
 # state machine
 #
-# A state is ((fars, ws), arcs, loops), with one entry of fars and of ws per
+# A state is (fars, ws, arcs, loops), with one entry of fars and of ws per
 # open strand end, by angular position i: fars[i] >= 0 is the position of
 # the other end of its curve, fars[i] < 0 the marked boundary point
 # ~fars[i]; ws[i] is the signed number of seam crossings accumulated walking
 # along the curve from the far end to this end.  Two flat tuples spare the
 # 56-byte (far, w) tuple that each end would take on its own.  A crossing's
-# turnback smoothing and a cap share one join, _turnback; the cap then
-# deletes the two joined positions.
+# turnback smoothing and a cap share one join, _turnback, the only step that
+# makes an arc, and so the one that knows whether the arc has winding 0; the
+# cap then deletes the two joined positions.
 # ---------------------------------------------------------------------------
 
 
 def _initial_state(width: int):
-    return ((tuple(~e for e in range(width)), (0,) * width), (), 0)
+    return (tuple(~e for e in range(width)), (0,) * width, (), 0)
 
 
 def _turnback(state, i):
-    """Join the curves at cyclic positions i, i+1, and leave a fresh arc between
-    the two positions; returns (state, whether a contractible loop closed)."""
-    (fars, ws), arcs, loops = state
+    """Join the curves at cyclic positions i, i+1, leaving a fresh arc between them; returns
+    (state, whether a contractible loop closed, whether the join made a winding-0 arc)."""
+    fars, ws, arcs, loops = state
     j = (i + 1) % len(fars)
     seam = 1 if j == 0 else 0  # the join's traversal from i to j crosses the seam
     fu, fv = fars[i], fars[j]
-    closed = False
+    closed, w = False, None  # w: the winding of the arc that the join makes, if any
     fars, ws = list(fars), list(ws)
     if fu == j:
         total = ws[i] + seam
@@ -344,27 +345,27 @@ def _turnback(state, i):
         if fu >= 0:
             fars[fu], ws[fu] = fv, -walk
     fars[i], fars[j], ws[i], ws[j] = j, i, -seam, seam
-    return ((tuple(fars), tuple(ws)), arcs, loops), closed
+    return (tuple(fars), tuple(ws), arcs, loops), closed, w == 0
 
 
 def _apply_cap(state, i):
-    ((fars, ws), arcs, loops), closed = _turnback(state, i)
+    (fars, ws, arcs, loops), closed, trivial = _turnback(state, i)
     j = (i + 1) % len(fars)
     lo = 1 if j == 0 else 0  # the pair across the seam: positions 0 and i
     # the kept ends start at lo, and a far past j moves down by the 2 - lo
     # deleted positions below it
-    return ((tuple([f - 2 + lo if f > j else f for f in fars[lo:i] + fars[i + 2:]]),
-             ws[lo:i] + ws[i + 2:]), arcs, loops), closed
+    return (tuple([f - 2 + lo if f > j else f for f in fars[lo:i] + fars[i + 2:]]),
+            ws[lo:i] + ws[i + 2:], arcs, loops), closed, trivial
 
 
 def _apply_cup(state, i):
-    (fars, ws), arcs, loops = state
+    fars, ws, arcs, loops = state
     fars = [f + 2 if f >= i else f for f in fars]
-    return ((tuple(fars[:i] + [i + 1, i] + fars[i:]), ws[:i] + (0, 0) + ws[i:]), arcs, loops)
+    return (tuple(fars[:i] + [i + 1, i] + fars[i:]), ws[:i] + (0, 0) + ws[i:], arcs, loops)
 
 
 def _apply_rot(state, sign):
-    (fars, ws), arcs, loops = state
+    fars, ws, arcs, loops = state
     width = len(fars)
     mover = -1 if sign == 1 else 0  # the end that passes the seam
     cut = -sign % width  # the position that the rotation brings to 0
@@ -373,27 +374,27 @@ def _apply_rot(state, sign):
     if far >= 0:
         ws[far] -= sign
     fars = [(f + sign) % width if f >= 0 else f for f in fars]
-    return ((tuple(fars[cut:] + fars[:cut]), tuple(ws[cut:] + ws[:cut])), arcs, loops)
+    return (tuple(fars[cut:] + fars[:cut]), tuple(ws[cut:] + ws[:cut]), arcs, loops)
 
 
 def _branches(states: Mapping, ev):
-    """(state, value, new state, A-exponent, whether a contractible loop closed)
-    for each branch of one slice over every live state; values pass through."""
+    """(value, new state, A-exponent, whether a contractible loop closed, whether a winding-0
+    arc was made) for each branch of one slice over every live state; values pass through."""
     op, arg = ev[0], ev[1]
     if op == X:
         sign = ev[2]
         for state, value in states.items():
-            yield state, value, state, sign, False
-            turned, closed = _turnback(state, arg)
-            yield state, value, turned, -sign, closed
+            yield value, state, sign, False, False
+            turned, closed, trivial = _turnback(state, arg)
+            yield value, turned, -sign, closed, trivial
     elif op == CAP:
         for state, value in states.items():
-            capped, closed = _apply_cap(state, arg)
-            yield state, value, capped, 0, closed
+            capped, closed, trivial = _apply_cap(state, arg)
+            yield value, capped, 0, closed, trivial
     else:
         apply = _apply_cup if op == CUP else _apply_rot
         for state, value in states.items():
-            yield state, value, apply(state, arg), 0, False
+            yield value, apply(state, arg), 0, False, False
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +480,8 @@ def _packed_sum(tangle, limit, start, drop_trivial_arcs, bits, stride) -> dict:
         states = _packed_start(start, bits, stride)
     for ev in tangle.slices:
         merged: dict = {}
-        for state, (lo, n, bound), new_state, exp, closed in _branches(states, ev):
-            # arcs only grow, so a changed tuple means one arc was added
-            if (drop_trivial_arcs and new_state[1] is not state[1]
-                    and any(w == 0 for _, _, w in new_state[1])):
+        for (lo, n, bound), new_state, exp, closed, trivial in _branches(states, ev):
+            if trivial and drop_trivial_arcs:
                 continue
             lo += exp
             if closed:  # times -A^2 - A^-2
@@ -553,9 +552,9 @@ def resolve(tangle: AnnularTangle, budget: int | None = None,
         raise MalformedTangle(
             f"tangle leaves {tangle.final_width} strands unclosed")
     states = resolve_states(tangle, budget, start, drop_trivial_arcs=drop_trivial_arcs)
-    # a closed state (((), ()), arcs, loops) is exactly one multicurve, decoded once
+    # a closed state ((), (), arcs, loops) is exactly one multicurve, decoded once
     return SkeinElement(tangle.endpoints, {
-        Multicurve(arcs, loops): coeff for (_, arcs, loops), coeff in states.items()})
+        Multicurve(arcs, loops): coeff for (_, _, arcs, loops), coeff in states.items()})
 
 
 def multicurve_tangle(mc: Multicurve) -> AnnularTangle:

@@ -62,8 +62,9 @@ def state_budget(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the oracle's own state machine, on one (far, w) pair per strand end where
-# ``skein`` keeps two flat tuples: it shares no code with the engine's
-# machine, so comparing the two sums checks one layout against the other.
+# ``skein`` keeps two flat tuples, and with its own trivial-arc prune where
+# ``skein``'s join flags the arc it makes: it shares no code with the
+# engine's machine, so comparing the two sums checks one against the other.
 #
 # A state is (ends, arcs, loops).  ends[i] = (far, w) describes the open
 # strand end at angular position i: far >= 0 is the position of the other
@@ -161,13 +162,13 @@ def reference_resolve_states(tangle, budget=None, start=None, *, drop_trivial_ar
     """The state sum over Laurent coefficients, one dict per live state's
     value, on the pair-layout machine above: the oracle of
     ``skein.resolve_states``, which packs the values into ints and keeps a
-    state's ends as ((fars, ws), arcs, loops).  Same budget rule, same
-    pruning.  ``start`` and the result are in the engine's layout; the
-    sum itself runs on (far, w) pairs."""
+    state as (fars, ws, arcs, loops).  Same budget rule, same pruning.
+    ``start`` and the result are in the engine's layout; the sum itself
+    runs on (far, w) pairs."""
     limit = skein.STATE_BUDGET if budget is None else budget
     states = ({_initial_state(tangle.endpoints): Laurent.one()} if start is None
               else {(tuple(zip(fars, ws)), arcs, loops): c
-                    for ((fars, ws), arcs, loops), c in start.items()})
+                    for (fars, ws, arcs, loops), c in start.items()})
     for ev in tangle.slices:
         merged = {}
         for state, coeff, new_state, exp, closed in _branches(states, ev):
@@ -189,7 +190,7 @@ def reference_resolve_states(tangle, budget=None, start=None, *, drop_trivial_ar
         states = merged
     # the one fixed map from (far, w) pairs to the engine's (fars, ws) tuples;
     # ``start`` was read through its inverse, zip
-    return {((tuple(f for f, _ in ends), tuple(w for _, w in ends)), arcs, loops): c
+    return {(tuple(f for f, _ in ends), tuple(w for _, w in ends), arcs, loops): c
             for (ends, arcs, loops), c in states.items()}
 
 

@@ -203,7 +203,7 @@ def test_resolve_from_start_matches_whole_word(tangle, cut):
 
 
 def _without_trivial_arcs(states):
-    return {s: c for s, c in states.items() if not any(w == 0 for _, _, w in s[1])}
+    return {s: c for s, c in states.items() if not any(w == 0 for _, _, w in s[2])}
 
 
 @given(random_words, st.integers(0, 8))
@@ -264,10 +264,10 @@ def test_mixed_class_merge_raises():
     # A^-2 and A^2: their coefficients must differ by A^(2 mod 4), as a
     # crossing's two smoothings do, or the packed sum is refused
     plain = skein._initial_state(2)
-    turned, _ = skein._turnback(plain, 0)
+    turned, _, _ = skein._turnback(plain, 0)
     capped = AnnularTangle(2, (cap(0),))
     assert dict(resolve_states(capped, start={plain: A(1), turned: A(-1)})) == {
-        (((), ()), ((0, 1, 0),), 0): Laurent({-3: -1})}
+        ((), (), ((0, 1, 0),), 0): Laurent({-3: -1})}
     with pytest.raises(PlanarityError, match="differ mod 4"):
         resolve_states(capped, start={plain: Laurent.one(), turned: Laurent.one()})
     with pytest.raises(PlanarityError, match="mixes exponent classes mod 4"):

@@ -334,7 +334,7 @@ def test_collar_keeps_only_states_without_trivial_arcs():
     assert sizes == {(3, 10): 55, (5, 6): 76, (3, 8): 36}
     full = resolve_states(AnnularTangle(6, sprime.rotation_slices(5, 6)), None)
     assert len(full) == 1052
-    want = {s: c for s, c in full.items() if not any(w == 0 for _, _, w in s[1])}
+    want = {s: c for s, c in full.items() if not any(w == 0 for _, _, w in s[2])}
     assert dict(sprime.collar_states(5, 6)) == want
 
 
