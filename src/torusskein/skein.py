@@ -304,9 +304,9 @@ class SkeinElement:
 # ~fars[i]; ws[i] is the signed number of seam crossings accumulated walking
 # along the curve from the far end to this end.  Two flat tuples spare the
 # 56-byte (far, w) tuple that each end would take on its own.  A crossing's
-# turnback smoothing and a cap share one join, _turnback, the only step that
-# makes an arc, and so the one that knows whether the arc has winding 0; the
-# cap then deletes the two joined positions.
+# turnback smoothing and a cap share one join, _join, the only step that
+# makes an arc.  It works out that arc before it copies anything, so a
+# winding-0 arc that the quotient kills stops its state before it is built.
 # ---------------------------------------------------------------------------
 
 
@@ -314,15 +314,16 @@ def _initial_state(width: int):
     return (tuple(~e for e in range(width)), (0,) * width, (), 0)
 
 
-def _turnback(state, i):
-    """Join the curves at cyclic positions i, i+1, leaving a fresh arc between them; returns
-    (state, whether a contractible loop closed, whether the join made a winding-0 arc)."""
+def _join(state, i, drop, cap):
+    """Join the curves at cyclic positions i, i+1; returns (state, whether a contractible loop
+    closed).  A crossing's turnback leaves a fresh arc between the two, a cap deletes them.
+    With ``drop`` set, a join that makes a winding-0 arc builds nothing: (None, False)."""
     fars, ws, arcs, loops = state
     j = (i + 1) % len(fars)
     seam = 1 if j == 0 else 0  # the join's traversal from i to j crosses the seam
     fu, fv = fars[i], fars[j]
-    closed, w = False, None  # w: the winding of the arc that the join makes, if any
-    fars, ws = list(fars), list(ws)
+    walk = ws[i] + seam - ws[j]  # fu -> i -> j -> fv
+    closed = False
     if fu == j:
         total = ws[i] + seam
         if total == 0:
@@ -331,31 +332,28 @@ def _turnback(state, i):
             loops += 1
         else:
             raise PlanarityError(f"closed component with net winding {total}")
-    else:
-        walk = ws[i] + seam - ws[j]  # fu -> i -> j -> fv
-        if fu < 0 and fv < 0:
-            a, b, w = ~fu, ~fv, walk
-            if a > b:
-                a, b, w = b, a, -w
-            if w not in (0, -1):
-                raise PlanarityError(f"arc ({a},{b}) with net winding {w}")
-            arcs = tuple(sorted(arcs + ((a, b, w),)))
-        if fv >= 0:
-            fars[fv], ws[fv] = fu, walk
-        if fu >= 0:
-            fars[fu], ws[fu] = fv, -walk
+    elif fu < 0 and fv < 0:
+        a, b, w = ~fu, ~fv, walk
+        if a > b:
+            a, b, w = b, a, -w
+        if w not in (0, -1):
+            raise PlanarityError(f"arc ({a},{b}) with net winding {w}")
+        if drop and not w:
+            return None, False
+        arcs = tuple(sorted(arcs + ((a, b, w),)))
+    fars, ws = list(fars), list(ws)
+    # on a closed curve fv == i and fu == j: these writes land on the joined pair
+    if fv >= 0:
+        fars[fv], ws[fv] = fu, walk
+    if fu >= 0:
+        fars[fu], ws[fu] = fv, -walk
+    if cap:
+        # the kept ends start at seam (the pair across it is 0 and i), and a far
+        # past j moves down by the 2 - seam deleted positions below it
+        return (tuple([f - 2 + seam if f > j else f for f in fars[seam:i] + fars[i + 2:]]),
+                tuple(ws[seam:i] + ws[i + 2:]), arcs, loops), closed
     fars[i], fars[j], ws[i], ws[j] = j, i, -seam, seam
-    return (tuple(fars), tuple(ws), arcs, loops), closed, w == 0
-
-
-def _apply_cap(state, i):
-    (fars, ws, arcs, loops), closed, trivial = _turnback(state, i)
-    j = (i + 1) % len(fars)
-    lo = 1 if j == 0 else 0  # the pair across the seam: positions 0 and i
-    # the kept ends start at lo, and a far past j moves down by the 2 - lo
-    # deleted positions below it
-    return (tuple([f - 2 + lo if f > j else f for f in fars[lo:i] + fars[i + 2:]]),
-            ws[lo:i] + ws[i + 2:], arcs, loops), closed, trivial
+    return (tuple(fars), tuple(ws), arcs, loops), closed
 
 
 def _apply_cup(state, i):
@@ -377,24 +375,24 @@ def _apply_rot(state, sign):
     return (tuple(fars[cut:] + fars[:cut]), tuple(ws[cut:] + ws[:cut]), arcs, loops)
 
 
-def _branches(states: Mapping, ev):
-    """(value, new state, A-exponent, whether a contractible loop closed, whether a winding-0
-    arc was made) for each branch of one slice over every live state; values pass through."""
+def _branches(states: Mapping, ev, drop):
+    """(value, new state, whether a contractible loop closed, A-exponent) for each branch of
+    one slice over every live state, the state None where ``drop`` stopped a winding-0 arc
+    (see _join); values pass through."""
     op, arg = ev[0], ev[1]
-    if op == X:
-        sign = ev[2]
-        for state, value in states.items():
-            yield value, state, sign, False, False
-            turned, closed, trivial = _turnback(state, arg)
-            yield value, turned, -sign, closed, trivial
-    elif op == CAP:
-        for state, value in states.items():
-            capped, closed, trivial = _apply_cap(state, arg)
-            yield value, capped, 0, closed, trivial
-    else:
+    if op == CUP or op == ROT:
         apply = _apply_cup if op == CUP else _apply_rot
         for state, value in states.items():
-            yield value, apply(state, arg), 0, False, False
+            yield value, apply(state, arg), False, 0
+        return
+    # a crossing is its parallel branch at A^sign plus its join at A^-sign; a
+    # cap is the join alone, at A^0
+    sign = ev[2] if op == X else 0
+    for state, value in states.items():
+        if sign:
+            yield value, state, False, sign
+        joined, closed = _join(state, arg, drop, not sign)
+        yield value, joined, closed, -sign
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +478,8 @@ def _packed_sum(tangle, limit, start, drop_trivial_arcs, bits, stride) -> dict:
         states = _packed_start(start, bits, stride)
     for ev in tangle.slices:
         merged: dict = {}
-        for (lo, n, bound), new_state, exp, closed, trivial in _branches(states, ev):
-            if trivial and drop_trivial_arcs:
+        for (lo, n, bound), new_state, closed, exp in _branches(states, ev, drop_trivial_arcs):
+            if new_state is None:
                 continue
             lo += exp
             if closed:  # times -A^2 - A^-2
@@ -528,10 +526,10 @@ def resolve_states(tangle: AnnularTangle, budget: int | None = None,
     and BudgetError is raised as soon as it is over.  ``start``, a result of
     an earlier call, is continued instead of the initial state, without
     decoding its coefficients; it is never mutated or returned.
-    ``drop_trivial_arcs`` drops a state as soon as it holds a winding-0 arc;
-    arcs are never removed, so this filters the full result exactly (given a
-    ``start`` pruned the same way).  Coefficients are held packed (see the
-    module docstring) and decoded to ``Laurent`` when read.
+    ``drop_trivial_arcs`` stops a state before it is built if its join makes
+    a winding-0 arc; arcs are never removed, so this filters the full result
+    exactly (given a ``start`` pruned the same way).  Coefficients are held
+    packed (see the module docstring) and decoded to ``Laurent`` when read.
     """
     limit = STATE_BUDGET if budget is None else budget
     # one packed digit per A^4 on an even strand count, else per A^2

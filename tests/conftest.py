@@ -62,9 +62,11 @@ def state_budget(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the oracle's own state machine, on one (far, w) pair per strand end where
-# ``skein`` keeps two flat tuples, and with its own trivial-arc prune where
-# ``skein``'s join flags the arc it makes: it shares no code with the
-# engine's machine, so comparing the two sums checks one against the other.
+# ``skein`` keeps two flat tuples, with a turnback and a separate cap that
+# build every state, and with its own trivial-arc prune, which scans a built
+# state's arcs where ``skein``'s join stops before it builds one: it shares
+# no code with the engine's machine, so comparing the two sums checks one
+# against the other.
 #
 # A state is (ends, arcs, loops).  ends[i] = (far, w) describes the open
 # strand end at angular position i: far >= 0 is the position of the other

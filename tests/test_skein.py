@@ -220,6 +220,25 @@ def test_dropping_trivial_arcs_filters_the_full_sum(tangle, cut):
     assert resolve_states(tail, start=start, drop_trivial_arcs=True) == want
 
 
+@given(random_words, st.integers(0, 8))
+def test_join_drops_exactly_the_winding_0_arcs(tangle, cut):
+    # with drop set, a turnback or cap that makes a winding-0 arc builds no
+    # state, as the first join on two strands does; every other join is the
+    # same as without drop
+    assert skein._join(skein._initial_state(2), 0, True, False) == (None, False)
+    cut = min(cut, len(tangle.slices))
+    head = AnnularTangle(tangle.endpoints, tangle.slices[:cut])
+    for state in resolve_states(head):
+        width = len(state[0])
+        for i in range(width if width >= 2 else 0):
+            for capping in (False, True):
+                kept = skein._join(state, i, False, capping)
+                made = set(kept[0][2]) - set(state[2])
+                dropped = any(w == 0 for _, _, w in made)
+                assert skein._join(state, i, True, capping) == (
+                    (None, False) if dropped else kept)
+
+
 @given(long_words, st.integers(0, 16), st.booleans())
 def test_packed_sum_equals_laurent_reference(tangle, cut, drop):
     # the packed sum, whole, continued from its own packed head, and continued
@@ -264,7 +283,7 @@ def test_mixed_class_merge_raises():
     # A^-2 and A^2: their coefficients must differ by A^(2 mod 4), as a
     # crossing's two smoothings do, or the packed sum is refused
     plain = skein._initial_state(2)
-    turned, _, _ = skein._turnback(plain, 0)
+    turned, _ = skein._join(plain, 0, False, False)
     capped = AnnularTangle(2, (cap(0),))
     assert dict(resolve_states(capped, start={plain: A(1), turned: A(-1)})) == {
         ((), (), ((0, 1, 0),), 0): Laurent({-3: -1})}
